@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import random
 import sys
-from dataclasses import dataclass
 
 from . import codec
 from .apps import registry_for
@@ -30,25 +29,13 @@ from .metrics import (
 from .runtime import HandlerRegistry, InprocConfig, TcpBossConfig, TcpWorkerConfig, start
 
 
-@dataclass
-class RunConfig:
-    command: str
-    transport: str
-    role: str
-    workers: int
-    listen: str | None
-    connect: str | None
-    timeout: float
-    load_csv: str | None
-    n: int | None = None
-    size: int | None = None
-    overflow: int | None = None
-    dim: int | None = None
-    seed: int | None = None
-    jobs: int | None = None
-    payload: int | None = None
-    sleep_ms: float | None = None
-    worker_counts: list[int] | None = None
+def _worker_counts(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,40 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", parents=[common], help="queens speedup/efficiency report")
     p.add_argument("--size", type=int, default=12)
     p.add_argument("--overflow", type=int, default=20)
-    p.add_argument("--worker-counts", default="1,2,4,8", help="comma-separated, must include 1")
+    p.add_argument("--worker-counts", type=_worker_counts, default="1,2,4,8",
+                   help="comma-separated, must include 1")
 
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        transport=args.transport,
-        role=args.role,
-        workers=args.workers,
-        listen=args.listen,
-        connect=args.connect,
-        timeout=args.timeout,
-        load_csv=args.load_csv,
-        n=getattr(args, "n", None),
-        size=getattr(args, "size", None),
-        overflow=getattr(args, "overflow", None),
-        dim=getattr(args, "dim", None),
-        seed=getattr(args, "seed", None),
-        jobs=getattr(args, "jobs", None),
-        payload=getattr(args, "payload", None),
-        sleep_ms=getattr(args, "sleep_ms", None),
-        worker_counts=None,
-    )
-    raw_counts = getattr(args, "worker_counts", None)
-    if raw_counts is not None:
-        try:
-            cfg.worker_counts = [int(part) for part in raw_counts.split(",") if part.strip()]
-        except ValueError:
-            parser.error(f"--worker-counts must be comma-separated integers, got {raw_counts!r}")
-
+    cfg = parser.parse_args(argv)
     if cfg.role == "worker":
         if cfg.transport != "tcp":
             parser.error("--role worker requires --transport tcp")
@@ -152,8 +114,6 @@ def parse_args(argv) -> RunConfig:
             parser.error(f"--jobs must be at least 1, got {cfg.jobs}")
         if cfg.payload < 0:
             parser.error(f"--payload must not be negative, got {cfg.payload}")
-        if cfg.workers < 1:
-            parser.error("bench-overhead requires --workers >= 1")
     elif cfg.command == "scaling":
         if cfg.size < 1 or cfg.overflow < 2:
             parser.error("scaling requires --size >= 1 and --overflow >= 2")
@@ -162,23 +122,23 @@ def parse_args(argv) -> RunConfig:
     return cfg
 
 
-def _start_boss(cfg: RunConfig, registry: HandlerRegistry):
+def _start_boss(cfg: argparse.Namespace, registry: HandlerRegistry):
     if cfg.transport == "inproc":
         return start(InprocConfig(cfg.workers), registry)
     return start(TcpBossConfig(cfg.listen, cfg.workers, cfg.timeout), registry)
 
 
-def _run_worker(cfg: RunConfig) -> int:
+def _run_worker(cfg: argparse.Namespace) -> int:
     start(TcpWorkerConfig(cfg.connect, cfg.timeout), registry_for(cfg.command))
     return 0
 
 
-def _maybe_write_csv(cfg: RunConfig, boss) -> None:
+def _maybe_write_csv(cfg: argparse.Namespace, boss) -> None:
     if cfg.load_csv:
         emit_load_csv(boss.samples, cfg.load_csv)
 
 
-def _cmd_factor(cfg: RunConfig) -> int:
+def _cmd_factor(cfg: argparse.Namespace) -> int:
     with _start_boss(cfg, registry_for("factor")) as boss:
         primes = factor(boss, cfg.n)
         _maybe_write_csv(cfg, boss)
@@ -186,7 +146,7 @@ def _cmd_factor(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_queens(cfg: RunConfig) -> int:
+def _cmd_queens(cfg: argparse.Namespace) -> int:
     app = Queens()
     with _start_boss(cfg, app.registry()) as boss:
         solutions = app.run(boss, cfg.size, cfg.overflow)
@@ -195,7 +155,7 @@ def _cmd_queens(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_matsquare(cfg: RunConfig) -> int:
+def _cmd_matsquare(cfg: argparse.Namespace) -> int:
     rng = random.Random(cfg.seed)
     matrix = [[rng.random() for _ in range(cfg.dim)] for _ in range(cfg.dim)]
     app = MatrixSquare()
@@ -207,13 +167,13 @@ def _cmd_matsquare(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bench_overhead(cfg: RunConfig) -> int:
+def _cmd_bench_overhead(cfg: argparse.Namespace) -> int:
     report = bench_overhead(cfg.jobs, cfg.payload, cfg.sleep_ms / 1000.0, cfg.workers)
     print(format_overhead_table([report]))
     return 0
 
 
-def _cmd_scaling(cfg: RunConfig) -> int:
+def _cmd_scaling(cfg: argparse.Namespace) -> int:
     workload = QueensWorkload(cfg.size, cfg.overflow, cfg.transport)
     reports = scaling_report(workload, cfg.worker_counts)
     print(format_scaling_table(reports))

@@ -104,21 +104,16 @@ def _write_seq(out: bytearray, items: list) -> None:
             raise EncodingError("sequence elements must all be the same kind")
     # scalar sequences are packed in one struct call (same bytes as the
     # element-by-element form, just faster for hot payloads)
-    if elem_tag == TAG_UINT:
+    if elem_tag == TAG_UINT or elem_tag == TAG_FLOAT:
         flat = []
         for v in items:
-            flat.append(TAG_UINT)
+            flat.append(elem_tag)
             flat.append(v)
+        fmt = "<" + ("BQ" if elem_tag == TAG_UINT else "Bd") * n
         try:
-            out += struct.pack("<" + "BQ" * n, *flat)
-        except struct.error:
+            out += struct.pack(fmt, *flat)
+        except struct.error:  # only a uint beyond 64 bits can fail to pack
             raise EncodingError("sequence integer exceeds the unsigned 64-bit range") from None
-    elif elem_tag == TAG_FLOAT:
-        flat = []
-        for v in items:
-            flat.append(TAG_FLOAT)
-            flat.append(v)
-        out += struct.pack("<" + "Bd" * n, *flat)
     else:
         for item in items:
             _write(out, item)

@@ -152,6 +152,30 @@ class WorkerContext:
         raise ProtocolError(f"expected {kind.name}, received {frame.kind.name}")
 
 
+def _call_handler(handlers: dict, what: str, job_type: int, *args, reply: bool = True) -> bytes:
+    """Run the handler registered for job_type.  Anything it raises
+    other than a ParqueueError becomes a HandlerError naming the job
+    type; with reply set, it must return bytes or None (None is b"")."""
+    handler = handlers.get(job_type)
+    if handler is None:
+        raise ConfigurationError(f"no {what} registered for job type {job_type}")
+    try:
+        result = handler(*args)
+    except ParqueueError:
+        raise
+    except Exception as exc:
+        raise HandlerError(
+            f"{what} for job type {job_type} raised {type(exc).__name__}: {exc}"
+        ) from exc
+    if not reply or result is None:
+        return b""
+    if not isinstance(result, bytes):
+        raise HandlerError(
+            f"{what} for job type {job_type} returned {type(result).__name__} instead of bytes"
+        )
+    return result
+
+
 def _worker_loop(endpoint: Endpoint, registry: HandlerRegistry) -> None:
     """The worker main loop: handle data shares and jobs until stopped."""
     store: dict = {}
@@ -165,32 +189,14 @@ def _worker_loop(endpoint: Endpoint, registry: HandlerRegistry) -> None:
             if kind is stop_kind:
                 break
             if kind is assign_kind or kind is share_kind:
-                handler = handlers.get(frame.job_type)
-                if handler is None:
-                    raise ConfigurationError(
-                        f"no worker handler registered for job type {frame.job_type}"
-                    )
                 ctx = WorkerContext(endpoint, store, during_share=kind is share_kind)
                 try:
-                    result = handler(Job(frame.job_type, frame.payload), ctx)
-                except ParqueueError:
-                    raise
-                except Exception as exc:
-                    raise HandlerError(
-                        f"handler for job type {frame.job_type} raised "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
+                    # data shares are acknowledged, not answered
+                    result = _call_handler(handlers, "worker handler", frame.job_type,
+                                           Job(frame.job_type, frame.payload), ctx,
+                                           reply=kind is assign_kind)
                 finally:
                     ctx._active = False
-                if kind is share_kind:
-                    result = b""  # data shares are acknowledged, not answered
-                elif result is None:
-                    result = b""
-                elif not isinstance(result, bytes):
-                    raise HandlerError(
-                        f"handler for job type {frame.job_type} returned "
-                        f"{type(result).__name__} instead of bytes"
-                    )
                 send(BOSS_ID, Frame(result_kind, frame.job_type, result))
             else:
                 raise ProtocolError(f"worker received unexpected {kind.name}")
@@ -297,27 +303,8 @@ class Boss:
                         outqueue.append(Job(frame.job_type, frame.payload))
                     record(now() - t0, self._outstanding, len(inqueue))
                 elif kind is task_kind:
-                    handler = registry.boss_task.get(frame.job_type)
-                    if handler is None:
-                        raise ConfigurationError(
-                            f"no boss task handler registered for job type {frame.job_type}"
-                        )
-                    try:
-                        reply = handler(frame.payload, self)
-                    except ParqueueError:
-                        raise
-                    except Exception as exc:
-                        raise HandlerError(
-                            f"boss task handler for job type {frame.job_type} raised "
-                            f"{type(exc).__name__}: {exc}"
-                        ) from exc
-                    if reply is None:
-                        reply = b""
-                    elif not isinstance(reply, bytes):
-                        raise HandlerError(
-                            f"boss task handler for job type {frame.job_type} returned "
-                            f"{type(reply).__name__} instead of bytes"
-                        )
+                    reply = _call_handler(registry.boss_task, "boss task handler",
+                                          frame.job_type, frame.payload, self)
                     send(src, Frame(MessageKind.TASK_RESPONSE, frame.job_type, reply))
                 elif kind is MessageKind.INFO_REQUEST:
                     snapshot = codec.encode(
@@ -394,8 +381,6 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
     the worker loop instead and returns None once the boss says stop.
     """
     if isinstance(config, InprocConfig):
-        if config.workers < 0:
-            raise ValueError("worker count must not be negative")
         endpoints = inproc_cluster(config.workers, config.recv_rng)
         threads = []
         for endpoint in endpoints[1:]:

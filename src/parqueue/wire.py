@@ -12,10 +12,15 @@ A frame is a 13-byte header followed by the payload bytes:
     13      len   payload
 
 Two interchangeable backends implement the Endpoint contract: an
-in-process backend linking node threads through ordered queues, and a
-TCP backend speaking the frame grammar over sockets.  Frames between a
-given pair of nodes are delivered in send order; a lost peer surfaces as
-a TransportError (there is no reconnection or failover).
+in-process backend linking node threads, and a TCP backend speaking the
+frame grammar over sockets.  Each in-process node and the TCP boss
+receive through one inbox that peers (or one TCP reader thread per
+connection) feed directly, so frames are received in arrival order and
+in send order between any pair of nodes; a boss given recv_rng instead
+picks at random among the peers whose frames have arrived.  A lost peer
+surfaces as a TransportError naming the node, and once every peer is
+gone recv raises rather than blocks (there is no reconnection or
+failover).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from enum import IntEnum
 from queue import SimpleQueue
 from random import Random
@@ -83,11 +88,16 @@ def write_frame(sink: BinaryIO, frame: Frame) -> None:
         raise TransportError(f"frame write failed: {exc}") from exc
 
 
+_READ_CHUNK = 1 << 20
+
+
 def _read_exact(source: BinaryIO, count: int) -> bytes:
+    # count comes from a peer's length field: reading in bounded chunks
+    # allocates memory only for bytes that actually arrive
     chunks = []
     got = 0
     while got < count:
-        chunk = source.read(count - got)
+        chunk = source.read(min(count - got, _READ_CHUNK))
         if not chunk:
             raise TruncationError(f"stream ended after {got} of {count} bytes")
         chunks.append(chunk)
@@ -141,129 +151,79 @@ class _Closed(NamedTuple):
     reason: str | None
 
 
-class InprocEndpoint(Endpoint):
-    """In-process node endpoint: one arrival-ordered inbox fed by all
-    peers.  Arrival order keeps receive-from-any fair (no peer can be
-    starved) and preserves per-channel FIFO, since each sender appends
-    in its own send order."""
+class _InboxEndpoint(Endpoint):
+    """Receive side shared by the in-process endpoints and the TCP boss.
 
-    def __init__(self, node_id: int):
+    The inbox holds (src, Frame | _Closed) items.  With recv_rng set,
+    recv moves what has arrived into per-source deques and picks a
+    non-empty one at random, so tests can explore message interleavings
+    reproducibly.
+    """
+
+    def __init__(self, node_id: int, recv_rng: Random | None = None):
         self.node_id = node_id
         self._inbox: SimpleQueue = SimpleQueue()
-        self._peers: dict[int, Endpoint] = {}
-        self._order: list[int] = []
+        self._peers: dict = {}  # node id -> what send writes to, in broadcast order
+        self._open_peers = 0
+        self._rng = recv_rng
+        self._channels: defaultdict[int, deque] = defaultdict(deque)
         self._closed = False
-
-    def _connect(self, peer: Endpoint) -> None:
-        self._peers[peer.node_id] = peer
-        self._order.append(peer.node_id)
-
-    def _deliver(self, src: int, item) -> bool:
-        if self._closed:
-            return False
-        self._inbox.put((src, item))
-        return True
-
-    def send(self, dest: int, frame: Frame) -> None:
-        peer = self._peers.get(dest)
-        if peer is None:
-            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
-        if not peer._deliver(self.node_id, frame):
-            raise TransportError(f"node {dest} is closed")
 
     def broadcast(self, frame: Frame) -> None:
         if self.node_id != BOSS_ID:
             raise LifecycleError("broadcast is a boss-only operation")
-        for dest in self._order:
+        for dest in self._peers:
             self.send(dest, frame)
 
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
             raise TransportError("endpoint is closed")
-        if not self._order:
+        if self._rng is not None:
+            src, item = self._pick()
+        elif self._open_peers:
+            src, item = self._inbox.get()
+        else:
             raise TransportError("all peers disconnected")
-        src, item = self._inbox.get()
         if isinstance(item, _Closed):
+            self._open_peers -= 1
             detail = f": {item.reason}" if item.reason else ""
             raise TransportError(f"node {src} disconnected{detail}")
         return src, item
+
+    def _pick(self) -> tuple:
+        channels, inbox = self._channels, self._inbox
+        while True:
+            ready = sorted(src for src, items in channels.items() if items)
+            if ready and inbox.empty():
+                src = ready[self._rng.randrange(len(ready))]
+                return src, channels[src].popleft()
+            if not ready and not self._open_peers:
+                raise TransportError("all peers disconnected")
+            src, item = inbox.get()
+            channels[src].append(item)
+
+
+class InprocEndpoint(_InboxEndpoint):
+    """In-process node endpoint: peers put frames straight into its inbox."""
+
+    def _connect(self, peer: InprocEndpoint) -> None:
+        self._peers[peer.node_id] = peer
+        self._open_peers += 1
+
+    def send(self, dest: int, frame: Frame) -> None:
+        peer = self._peers.get(dest)
+        if peer is None:
+            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
+        if peer._closed:
+            raise TransportError(f"node {dest} is closed")
+        peer._inbox.put((self.node_id, frame))
 
     def close(self, reason: str | None = None) -> None:
         if self._closed:
             return
         self._closed = True
         for peer in self._peers.values():
-            peer._deliver(self.node_id, _Closed(reason))
-
-
-class SeededInprocEndpoint(Endpoint):
-    """Test-oriented in-process endpoint keeping one deque per peer and
-    choosing among ready channels with a seeded Random, so protocol
-    tests can explore message interleavings reproducibly."""
-
-    def __init__(self, node_id: int, rng: Random):
-        self.node_id = node_id
-        self._rng = rng
-        self._cond = threading.Condition()
-        self._channels: dict[int, deque] = {}
-        self._order: list[int] = []
-        self._dead: set[int] = set()
-        self._peers: dict[int, Endpoint] = {}
-        self._closed = False
-
-    def _connect(self, peer: Endpoint) -> None:
-        self._peers[peer.node_id] = peer
-        self._channels[peer.node_id] = deque()
-        self._order.append(peer.node_id)
-
-    def _deliver(self, src: int, item) -> bool:
-        with self._cond:
-            if self._closed:
-                return False
-            self._channels[src].append(item)
-            self._cond.notify()
-            return True
-
-    def send(self, dest: int, frame: Frame) -> None:
-        peer = self._peers.get(dest)
-        if peer is None:
-            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
-        if not peer._deliver(self.node_id, frame):
-            raise TransportError(f"node {dest} is closed")
-
-    def broadcast(self, frame: Frame) -> None:
-        if self.node_id != BOSS_ID:
-            raise LifecycleError("broadcast is a boss-only operation")
-        for dest in self._order:
-            self.send(dest, frame)
-
-    def recv(self) -> tuple[int, Frame]:
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise TransportError("endpoint is closed")
-                ready = [src for src in self._order if self._channels[src]]
-                if not ready:
-                    if len(self._dead) == len(self._order):
-                        raise TransportError("all peers disconnected")
-                    self._cond.wait()
-                    continue
-                src = ready[self._rng.randrange(len(ready))]
-                item = self._channels[src].popleft()
-                if isinstance(item, _Closed):
-                    self._dead.add(src)
-                    detail = f": {item.reason}" if item.reason else ""
-                    raise TransportError(f"node {src} disconnected{detail}")
-                return src, item
-
-    def close(self, reason: str | None = None) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        for peer in self._peers.values():
-            peer._deliver(self.node_id, _Closed(reason))
+            peer._inbox.put((self.node_id, _Closed(reason)))
 
 
 def inproc_cluster(workers: int, recv_rng: Random | None = None) -> list[Endpoint]:
@@ -274,11 +234,7 @@ def inproc_cluster(workers: int, recv_rng: Random | None = None) -> list[Endpoin
     """
     if workers < 0:
         raise ValueError("worker count must not be negative")
-    boss: Endpoint
-    if recv_rng is None:
-        boss = InprocEndpoint(BOSS_ID)
-    else:
-        boss = SeededInprocEndpoint(BOSS_ID, recv_rng)
+    boss = InprocEndpoint(BOSS_ID, recv_rng)
     endpoints: list[Endpoint] = [boss]
     for node_id in range(1, workers + 1):
         worker = InprocEndpoint(node_id)
@@ -302,25 +258,20 @@ def pick_free_port(host: str = "127.0.0.1") -> int:
         return probe.getsockname()[1]
 
 
-class TcpBossEndpoint(Endpoint):
+class TcpBossEndpoint(_InboxEndpoint):
     """Boss side of the TCP backend.
 
     Workers are numbered 1..N in connection order; each learns its id
     from a one-frame handshake (kind=INFO_RESPONSE, job_type=id).  One
-    reader thread per connection feeds a single arrival-ordered queue,
-    which keeps receive-from-any fair and per-channel FIFO intact.
+    reader thread per connection feeds the inbox.
     """
-
-    node_id = BOSS_ID
 
     def __init__(self, listen: str, workers: int, timeout: float = 30.0):
         if workers < 0:
             raise ValueError("worker count must not be negative")
+        super().__init__(BOSS_ID)
         host, port = _parse_addr(listen)
-        self._conns: dict[int, socket.socket] = {}
-        self._queue: SimpleQueue = SimpleQueue()
         self._readers: list[threading.Thread] = []
-        self._closed = False
         deadline = time.monotonic() + timeout
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -346,15 +297,16 @@ class TcpBossEndpoint(Endpoint):
                 except OSError as exc:
                     raise StartupError(f"accept failed: {exc}") from exc
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._conns[node_id] = conn
+                self._peers[node_id] = conn
                 conn.sendall(encode_frame(Frame(MessageKind.INFO_RESPONSE, node_id)))
         except BaseException:
-            for conn in self._conns.values():
+            for conn in self._peers.values():
                 conn.close()
             listener.close()
             raise
         listener.close()
-        for node_id, conn in self._conns.items():
+        self._open_peers = workers
+        for node_id, conn in self._peers.items():
             reader = threading.Thread(
                 target=self._read_loop,
                 args=(node_id, conn),
@@ -369,12 +321,12 @@ class TcpBossEndpoint(Endpoint):
         try:
             while True:
                 frame = read_frame(source)
-                self._queue.put((node_id, frame))
+                self._inbox.put((node_id, frame))
         except (TruncationError, ProtocolError, OSError) as exc:
-            self._queue.put((node_id, _Closed(str(exc))))
+            self._inbox.put((node_id, _Closed(str(exc))))
 
     def send(self, dest: int, frame: Frame) -> None:
-        conn = self._conns.get(dest)
+        conn = self._peers.get(dest)
         if conn is None:
             raise TransportError(f"no connection to node {dest}")
         try:
@@ -382,24 +334,9 @@ class TcpBossEndpoint(Endpoint):
         except OSError as exc:
             raise TransportError(f"send to node {dest} failed: {exc}") from exc
 
-    def broadcast(self, frame: Frame) -> None:
-        for dest in sorted(self._conns):
-            self.send(dest, frame)
-
-    def recv(self) -> tuple[int, Frame]:
-        if self._closed:
-            raise TransportError("endpoint is closed")
-        if not self._conns:
-            raise TransportError("all peers disconnected")
-        src, item = self._queue.get()
-        if isinstance(item, _Closed):
-            detail = f": {item.reason}" if item.reason else ""
-            raise TransportError(f"worker {src} disconnected{detail}")
-        return src, item
-
     def close(self, reason: str | None = None) -> None:
         self._closed = True
-        for conn in self._conns.values():
+        for conn in self._peers.values():
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:

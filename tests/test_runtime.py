@@ -291,3 +291,12 @@ def test_consecutive_runs_on_one_cluster():
         second = boss.run_jobs([Job(1, codec.encode(2))])
         assert codec.decode(first[0].data) == 1
         assert codec.decode(second[0].data) == 2
+
+
+def test_data_share_reply_is_ignored_not_type_checked():
+    # a data-share handler's return value is never sent back, so a
+    # non-bytes return is acknowledged like None
+    registry = HandlerRegistry(worker={1: lambda job, ctx: 7, 2: lambda job, ctx: b"ok"})
+    with start(InprocConfig(2), registry) as boss:
+        boss.share_data(1, b"table")
+        assert [job.data for job in boss.run_jobs([Job(2)])] == [b"ok"]

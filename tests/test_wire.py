@@ -1,5 +1,6 @@
 import io
 import threading
+import tracemalloc
 from random import Random
 
 import pytest
@@ -14,6 +15,9 @@ from parqueue.errors import (
     TruncationError,
 )
 from parqueue.wire import (
+    HEADER,
+    MAGIC,
+    VERSION,
     Frame,
     MessageKind,
     TcpBossEndpoint,
@@ -270,3 +274,96 @@ def test_generated_values_survive_frame_payloads():
     finally:
         boss.close()
         worker.close()
+
+
+def test_read_frame_allocates_only_arriving_bytes():
+    # a header claiming 64 MiB followed by 10 bytes must not make the
+    # reader allocate 64 MiB before the stream ends
+    header = HEADER.pack(MAGIC, VERSION, int(MessageKind.DATA_SHARE), 1, 64 << 20)
+    source = io.BufferedReader(io.BytesIO(header + b"0123456789"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError):
+            read_frame(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def _recv_outcome(endpoint, timeout=2.0):
+    """Run endpoint.recv() in a daemon thread; fail if it is still
+    blocked after timeout seconds, else return what it returned or
+    raised."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(endpoint.recv())
+        except TransportError as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "recv blocked after every peer had closed"
+    return outcome[0]
+
+
+def test_inproc_boss_recv_after_every_peer_closed_does_not_hang():
+    boss, w1 = inproc_cluster(1)
+    w1.close("worker quit")
+    with pytest.raises(TransportError, match="node 1 disconnected: worker quit"):
+        boss.recv()
+    outcome = _recv_outcome(boss)
+    assert isinstance(outcome, TransportError)
+    assert "all peers disconnected" in str(outcome)
+
+
+def test_tcp_boss_recv_after_every_peer_closed_does_not_hang():
+    boss, (worker,) = _tcp_pair()
+    try:
+        worker.close()
+        with pytest.raises(TransportError, match="node 1 disconnected: stream ended"):
+            boss.recv()
+        outcome = _recv_outcome(boss)
+        assert isinstance(outcome, TransportError)
+        assert "all peers disconnected" in str(outcome)
+    finally:
+        boss.close()
+
+
+def test_seeded_recv_keeps_per_channel_fifo_and_reports_close_reasons():
+    per_worker = 50
+    for seed in range(5):
+        boss, w1, w2 = inproc_cluster(2, recv_rng=Random(seed))
+
+        def flood(endpoint):
+            for seq in range(per_worker):
+                endpoint.send(0, Frame(MessageKind.JOB_SUBMIT, 0, codec.encode(seq)))
+            endpoint.close(f"worker {endpoint.node_id} done")
+
+        # concurrent senders make some receives block with nothing ready
+        threads = [threading.Thread(target=flood, args=(ep,)) for ep in (w1, w2)]
+        for t in threads:
+            t.start()
+        next_seq = {1: 0, 2: 0}
+        reasons = []
+        while len(reasons) < 2:
+            try:
+                src, frame = boss.recv()
+            except TransportError as exc:
+                reasons.append(str(exc))
+                continue
+            assert codec.decode(frame.payload) == next_seq[src]
+            next_seq[src] += 1
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert next_seq == {1: per_worker, 2: per_worker}
+        assert sorted(reasons) == [
+            "node 1 disconnected: worker 1 done",
+            "node 2 disconnected: worker 2 done",
+        ]
+        with pytest.raises(TransportError, match="all peers disconnected"):
+            boss.recv()
