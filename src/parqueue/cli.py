@@ -1,8 +1,12 @@
 """Command line interface: example workloads, benchmarks, cluster roles.
 
-One binary exposes every subcommand; `--role worker` turns the same
-invocation into a TCP worker that joins a boss started elsewhere.
-Exit codes: 0 success, 2 usage error, 1 runtime failure.
+One binary exposes every subcommand, and each takes only the options
+it reads.  The apps (factor, matsquare, queens) take the cluster
+options; `--role worker` turns the same invocation into a TCP worker
+that joins a boss started elsewhere.  bench-overhead always runs on
+inproc threads; scaling starts one cluster per worker count, of local
+TCP worker processes unless --transport inproc.  Exit codes: 0
+success, 2 usage error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,57 +23,75 @@ from .apps.matsquare import MatrixSquare
 from .apps.queens import Queens
 from .errors import ParqueueError
 from .metrics import (
-    QueensWorkload,
     bench_overhead,
     emit_load_csv,
     format_overhead_table,
     format_scaling_table,
+    measure_queens_run,
     scaling_report,
 )
 from .runtime import HandlerRegistry, InprocConfig, TcpBossConfig, TcpWorkerConfig, start
 
 
+_APPS = ("factor", "matsquare", "queens")
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than *low*."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _worker_counts(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated integers, got {text!r}"
-        ) from None
+    count = _at_least(1)
+    counts = [count(part) for part in text.split(",") if part.strip()]
+    if 1 not in counts:
+        raise argparse.ArgumentTypeError("must include 1 (the speedup baseline)")
+    return counts
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--transport", choices=("inproc", "tcp"), default="inproc")
-    common.add_argument("--role", choices=("boss", "worker"), default="boss")
-    common.add_argument("--workers", type=int, default=4, help="worker count (boss side)")
-    common.add_argument("--listen", metavar="HOST:PORT", help="boss listen address (tcp)")
-    common.add_argument("--connect", metavar="HOST:PORT", help="boss address to join (tcp worker)")
-    common.add_argument("--timeout", type=float, default=30.0, help="tcp setup timeout in seconds")
-    common.add_argument("--load-csv", metavar="PATH", help="write the run's load samples as CSV")
+    cluster = argparse.ArgumentParser(add_help=False)
+    cluster.add_argument("--transport", choices=("inproc", "tcp"), default="inproc")
+    cluster.add_argument("--role", choices=("boss", "worker"), default="boss")
+    cluster.add_argument("--workers", type=_at_least(0), default=4, help="worker count (boss side)")
+    cluster.add_argument("--listen", metavar="HOST:PORT", help="boss listen address (tcp)")
+    cluster.add_argument("--connect", metavar="HOST:PORT", help="boss address to join (tcp worker)")
+    cluster.add_argument("--timeout", type=float, default=30.0, help="tcp setup timeout in seconds")
+    cluster.add_argument("--load-csv", metavar="PATH", help="write the run's load samples as CSV")
 
     parser = argparse.ArgumentParser(prog="parqueue", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("factor", parents=[common], help="prime factorization")
-    p.add_argument("--n", type=int, help="integer >= 2 to factor")
+    p = sub.add_parser("factor", parents=[cluster], help="prime factorization")
+    p.add_argument("--n", type=_at_least(2), help="integer >= 2 to factor")
 
-    p = sub.add_parser("matsquare", parents=[common], help="square a random matrix")
-    p.add_argument("--dim", type=int, default=16, help="matrix dimension")
+    p = sub.add_parser("matsquare", parents=[cluster], help="square a random matrix")
+    p.add_argument("--dim", type=_at_least(1), default=16, help="matrix dimension")
     p.add_argument("--seed", type=int, default=0, help="matrix RNG seed")
 
-    p = sub.add_parser("queens", parents=[common], help="count non-attacking queen placements")
-    p.add_argument("--size", type=int, help="board size")
-    p.add_argument("--overflow", type=int, default=8, help="local stack spill threshold")
+    p = sub.add_parser("queens", parents=[cluster], help="count non-attacking queen placements")
+    p.add_argument("--size", type=_at_least(1), help="board size")
+    p.add_argument("--overflow", type=_at_least(2), default=8, help="local stack spill threshold")
 
-    p = sub.add_parser("bench-overhead", parents=[common], help="sleep-job overhead benchmark")
-    p.add_argument("--jobs", type=int, default=400)
-    p.add_argument("--payload", type=int, default=0, help="doubles carried per job")
+    p = sub.add_parser("bench-overhead", help="sleep-job overhead benchmark (inproc)")
+    p.add_argument("--workers", type=_at_least(1), default=4, help="worker threads")
+    p.add_argument("--jobs", type=_at_least(1), default=400)
+    p.add_argument("--payload", type=_at_least(0), default=0, help="doubles carried per job")
     p.add_argument("--sleep-ms", type=float, default=10.0)
 
-    p = sub.add_parser("scaling", parents=[common], help="queens speedup/efficiency report")
-    p.add_argument("--size", type=int, default=12)
-    p.add_argument("--overflow", type=int, default=20)
+    p = sub.add_parser("scaling", help="queens speedup/efficiency report")
+    p.add_argument("--transport", choices=("inproc", "tcp"), default="tcp")
+    p.add_argument("--load-csv", metavar="PATH", help="write the largest run's load samples as CSV")
+    p.add_argument("--size", type=_at_least(1), default=12)
+    p.add_argument("--overflow", type=_at_least(2), default=20)
     p.add_argument("--worker-counts", type=_worker_counts, default="1,2,4,8",
                    help="comma-separated, must include 1")
 
@@ -79,46 +101,22 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     cfg = parser.parse_args(argv)
+    if cfg.command not in _APPS:
+        return cfg
     if cfg.role == "worker":
         if cfg.transport != "tcp":
             parser.error("--role worker requires --transport tcp")
         if not cfg.connect:
             parser.error("--role worker requires --connect HOST:PORT")
-        if cfg.command in ("bench-overhead", "scaling"):
-            parser.error(f"{cfg.command} has no worker role")
         return cfg
-
-    if cfg.transport == "tcp" and cfg.command in ("factor", "matsquare", "queens") and not cfg.listen:
+    if cfg.transport == "tcp" and not cfg.listen:
         parser.error("--transport tcp requires --listen HOST:PORT in the boss role")
     if cfg.transport == "inproc" and cfg.workers < 1:
         parser.error("inproc transport requires --workers >= 1")
-    if cfg.command == "factor":
-        if cfg.n is None:
-            parser.error("factor requires --n")
-        if cfg.n < 2:
-            parser.error(f"--n must be at least 2, got {cfg.n}")
-    elif cfg.command == "queens":
-        if cfg.size is None:
-            parser.error("queens requires --size")
-        if cfg.size < 1:
-            parser.error(f"--size must be at least 1, got {cfg.size}")
-        if cfg.overflow < 2:
-            parser.error(f"--overflow must be at least 2, got {cfg.overflow}")
-    elif cfg.command == "matsquare":
-        if cfg.dim < 1:
-            parser.error(f"--dim must be at least 1, got {cfg.dim}")
-    elif cfg.command == "bench-overhead":
-        if cfg.transport != "inproc":
-            parser.error("bench-overhead runs on the inproc transport only")
-        if cfg.jobs < 1:
-            parser.error(f"--jobs must be at least 1, got {cfg.jobs}")
-        if cfg.payload < 0:
-            parser.error(f"--payload must not be negative, got {cfg.payload}")
-    elif cfg.command == "scaling":
-        if cfg.size < 1 or cfg.overflow < 2:
-            parser.error("scaling requires --size >= 1 and --overflow >= 2")
-        if not cfg.worker_counts or 1 not in cfg.worker_counts:
-            parser.error("--worker-counts must include 1 (the speedup baseline)")
+    if cfg.command == "factor" and cfg.n is None:
+        parser.error("factor requires --n")
+    if cfg.command == "queens" and cfg.size is None:
+        parser.error("queens requires --size")
     return cfg
 
 
@@ -174,11 +172,15 @@ def _cmd_bench_overhead(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(cfg: argparse.Namespace) -> int:
-    workload = QueensWorkload(cfg.size, cfg.overflow, cfg.transport)
-    reports = scaling_report(workload, cfg.worker_counts)
-    print(format_scaling_table(reports))
-    if cfg.load_csv and workload.last is not None:
-        emit_load_csv(workload.last.samples, cfg.load_csv)
+    runs = {}
+
+    def workload(workers: int) -> float:
+        runs[workers] = measure_queens_run(cfg.size, cfg.overflow, workers, cfg.transport)
+        return runs[workers].runtime_t
+
+    print(format_scaling_table(scaling_report(workload, cfg.worker_counts)))
+    if cfg.load_csv:
+        emit_load_csv(runs[max(runs)].samples, cfg.load_csv)
     return 0
 
 
@@ -197,7 +199,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if cfg.role == "worker":
+        if cfg.command in _APPS and cfg.role == "worker":
             return _run_worker(cfg)
         return _COMMANDS[cfg.command](cfg)
     except (ParqueueError, OSError, ValueError) as exc:

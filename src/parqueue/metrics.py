@@ -10,6 +10,7 @@ workload run at several worker counts.
 from __future__ import annotations
 
 import csv
+import math
 import multiprocessing
 import time
 from array import array
@@ -72,8 +73,9 @@ SLEEP_JOB = 1
 class OverheadReport:
     """One row of the sleep-job overhead experiment.
 
-    ideal is jobs_n * sleep_s / workers: the floor a perfect scheduler
-    could reach with every worker sleeping back to back; everything
+    ideal is ceil(jobs_n / workers) * sleep_s: the floor a perfect
+    scheduler could reach with every worker sleeping back to back, in
+    whole waves (100 jobs on 8 workers take 13, not 12.5); everything
     above it is queue overhead.
     """
 
@@ -85,7 +87,7 @@ class OverheadReport:
 
     @property
     def ideal(self) -> float:
-        return self.jobs_n * self.sleep_s / self.workers
+        return math.ceil(self.jobs_n / self.workers) * self.sleep_s
 
     @property
     def overhead(self) -> float:
@@ -261,18 +263,3 @@ def measure_queens_run(size: int, overflow: int, workers: int, transport: str = 
         for proc in procs:
             proc.join(timeout=30)
     return QueensRunMeasurement(workers, runtime_t, solutions, samples)
-
-
-class QueensWorkload:
-    """Callable workload for scaling_report; remembers the last run so
-    its load samples can be inspected or written to CSV."""
-
-    def __init__(self, size: int, overflow: int, transport: str = "tcp"):
-        self.size = size
-        self.overflow = overflow
-        self.transport = transport
-        self.last: QueensRunMeasurement | None = None
-
-    def __call__(self, workers: int) -> float:
-        self.last = measure_queens_run(self.size, self.overflow, workers, self.transport)
-        return self.last.runtime_t

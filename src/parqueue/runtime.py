@@ -225,13 +225,11 @@ class Boss:
         self.registry = registry
         self.samples = LoadLog()
         self._idle = set(range(1, total_workers + 1))
-        self._outstanding = 0
         self._inqueue: deque[Job] = deque()
         self._supervising = False
         self._stopped = False
         self._aborted = False
         self._threads = list(worker_threads)
-        self._t0 = 0.0
 
     @property
     def queued_jobs(self) -> int:
@@ -243,7 +241,7 @@ class Boss:
 
     @property
     def outstanding_jobs(self) -> int:
-        return self._outstanding
+        return self.total_workers - len(self._idle)
 
     def _require_open(self, op: str, allow_aborted: bool = False) -> None:
         if self._stopped:
@@ -270,6 +268,7 @@ class Boss:
         outqueue: deque[Job] = deque()
         endpoint = self.endpoint
         idle = self._idle
+        total = self.total_workers
         registry = self.registry
         send, recv = endpoint.send, endpoint.recv
         assign_kind, submit_kind = MessageKind.JOB_ASSIGN, MessageKind.JOB_SUBMIT
@@ -277,31 +276,29 @@ class Boss:
         record, now = self.samples.record, time.perf_counter
         self._supervising = True
         self.samples.clear()
-        t0 = self._t0 = now()
+        t0 = now()
         record(0.0, 0, len(inqueue))
         try:
-            while inqueue or self._outstanding:
+            while inqueue or len(idle) < total:
                 if inqueue and idle:
                     dest = min(idle)
                     job = inqueue.popleft()
                     send(dest, Frame(assign_kind, job.job_type, job.data))
                     idle.remove(dest)
-                    self._outstanding += 1
-                    record(now() - t0, self._outstanding, len(inqueue))
+                    record(now() - t0, total - len(idle), len(inqueue))
                     continue
                 src, frame = recv()
                 kind = frame.kind
                 if kind is submit_kind:
                     inqueue.append(Job(frame.job_type, frame.payload))
-                    record(now() - t0, self._outstanding, len(inqueue))
+                    record(now() - t0, total - len(idle), len(inqueue))
                 elif kind is result_kind:
                     if src in idle:
                         raise ProtocolError(f"unsolicited job result from idle worker {src}")
-                    self._outstanding -= 1
                     idle.add(src)
                     if frame.payload:
                         outqueue.append(Job(frame.job_type, frame.payload))
-                    record(now() - t0, self._outstanding, len(inqueue))
+                    record(now() - t0, total - len(idle), len(inqueue))
                 elif kind is task_kind:
                     reply = _call_handler(registry.boss_task, "boss task handler",
                                           frame.job_type, frame.payload, self)
@@ -313,7 +310,6 @@ class Boss:
                     send(src, Frame(MessageKind.INFO_RESPONSE, 0, snapshot))
                 else:
                     raise ProtocolError(f"boss received unexpected {kind.name} during supervision")
-                assert len(idle) + self._outstanding == self.total_workers
         except ParqueueError:
             self._aborted = True
             raise
@@ -330,7 +326,7 @@ class Boss:
             raise ValueError(f"job type must be a positive integer, got {job_type!r}")
         if not isinstance(data, bytes):
             raise ValueError("shared data must be bytes")
-        if self._outstanding:
+        if self.outstanding_jobs:
             raise LifecycleError("share_data requires all workers idle")
         try:
             self.endpoint.broadcast(Frame(MessageKind.DATA_SHARE, job_type, data))

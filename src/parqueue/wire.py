@@ -80,14 +80,6 @@ def encode_frame(frame: Frame) -> bytes:
     return header + frame.payload
 
 
-def write_frame(sink: BinaryIO, frame: Frame) -> None:
-    """Write one frame; sink failures surface as TransportError."""
-    try:
-        sink.write(encode_frame(frame))
-    except OSError as exc:
-        raise TransportError(f"frame write failed: {exc}") from exc
-
-
 _READ_CHUNK = 1 << 20
 
 
@@ -273,14 +265,11 @@ class TcpBossEndpoint(_InboxEndpoint):
         host, port = _parse_addr(listen)
         self._readers: list[threading.Thread] = []
         deadline = time.monotonic() + timeout
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            try:
-                listener.bind((host, port))
-                listener.listen(workers or 1)
-            except OSError as exc:
-                raise StartupError(f"cannot listen on {listen}: {exc}") from exc
+            listener = socket.create_server((host, port), backlog=workers or 1)
+        except OSError as exc:
+            raise StartupError(f"cannot listen on {listen}: {exc}") from exc
+        try:
             for node_id in range(1, workers + 1):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -302,9 +291,9 @@ class TcpBossEndpoint(_InboxEndpoint):
         except BaseException:
             for conn in self._peers.values():
                 conn.close()
-            listener.close()
             raise
-        listener.close()
+        finally:
+            listener.close()
         self._open_peers = workers
         for node_id, conn in self._peers.items():
             reader = threading.Thread(

@@ -31,6 +31,12 @@ def test_usage_errors_exit_two(capsys):
         ["bench-overhead", "--jobs", "0"],
         ["scaling", "--worker-counts", "2,4"],
         ["scaling", "--worker-counts", "nope"],
+        ["scaling", "--worker-counts", "1,0"],
+        ["scaling", "--workers", "3"],
+        ["bench-overhead", "--transport", "tcp"],
+        ["bench-overhead", "--load-csv", "x.csv"],
+        ["queens", "--size", "5", "--transport", "tcp", "--listen", "127.0.0.1:1",
+         "--workers", "-1"],
         ["no-such-command"],
     ]
     for argv in cases:
@@ -102,6 +108,18 @@ def test_scaling_inproc_prints_table(capsys):
     assert code == 0
     assert "Nodes p" in out and "Speedup" in out
     assert len(out.splitlines()) == 4
+
+
+def test_scaling_load_csv_is_from_the_largest_run(tmp_path, capsys):
+    path = tmp_path / "load.csv"
+    code, _, _ = run_cli(
+        capsys, "scaling", "--size", "6", "--overflow", "4", "--worker-counts", "1,2",
+        "--transport", "inproc", "--load-csv", str(path),
+    )
+    assert code == 0
+    with open(path) as handle:
+        rows = list(csv.reader(handle))
+    assert max(int(row[1]) for row in rows[1:]) == 2
 
 
 def test_runtime_failure_exits_one(capsys):

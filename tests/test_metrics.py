@@ -71,11 +71,15 @@ def test_load_timeline_is_replayable():
 
 
 def test_overhead_report_fields():
+    # 100 jobs on 8 workers need 13 whole waves of sleep, not 12.5
     report = OverheadReport(jobs_n=100, payload_doubles=0, workers=8,
                             sleep_s=0.01, runtime_t=0.2)
-    assert report.ideal == pytest.approx(0.125)
-    assert report.overhead == pytest.approx(0.075)
-    assert report.per_job_overhead == pytest.approx(0.00075)
+    assert report.ideal == pytest.approx(0.13)
+    assert report.overhead == pytest.approx(0.07)
+    assert report.per_job_overhead == pytest.approx(0.0007)
+    even = OverheadReport(jobs_n=400, payload_doubles=0, workers=8,
+                          sleep_s=0.01, runtime_t=0.6)
+    assert even.ideal == pytest.approx(0.5)
 
 
 def test_bench_overhead_validates_inputs():
