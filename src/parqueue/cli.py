@@ -1,9 +1,10 @@
 """Command line interface: example workloads, benchmarks, cluster roles.
 
 One binary exposes every subcommand, and each takes only the options
-it reads.  The apps (factor, matsquare, queens) take the cluster
-options; `--role worker` turns the same invocation into a TCP worker
-that joins a boss started elsewhere.  bench-overhead always runs on
+it reads.  The apps (factor, matsquare, queens) run the boss: on
+--workers inproc threads, or, with --listen HOST:PORT, serving that
+many TCP workers.  `worker APP --connect HOST:PORT` runs one TCP worker
+for the app's boss started elsewhere.  bench-overhead always runs on
 inproc threads; scaling starts one cluster per worker count, of local
 TCP worker processes unless --transport inproc.  Exit codes: 0
 success, 2 usage error, 1 runtime failure.
@@ -59,11 +60,9 @@ def _worker_counts(text: str) -> list[int]:
 
 def build_parser() -> argparse.ArgumentParser:
     cluster = argparse.ArgumentParser(add_help=False)
-    cluster.add_argument("--transport", choices=("inproc", "tcp"), default="inproc")
-    cluster.add_argument("--role", choices=("boss", "worker"), default="boss")
-    cluster.add_argument("--workers", type=_at_least(0), default=4, help="worker count (boss side)")
-    cluster.add_argument("--listen", metavar="HOST:PORT", help="boss listen address (tcp)")
-    cluster.add_argument("--connect", metavar="HOST:PORT", help="boss address to join (tcp worker)")
+    cluster.add_argument("--workers", type=_at_least(0), default=4, help="worker count")
+    cluster.add_argument("--listen", metavar="HOST:PORT",
+                         help="serve TCP workers here instead of starting inproc threads")
     cluster.add_argument("--timeout", type=float, default=30.0, help="tcp setup timeout in seconds")
     cluster.add_argument("--load-csv", metavar="PATH", help="write the run's load samples as CSV")
 
@@ -71,15 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", parents=[cluster], help="prime factorization")
-    p.add_argument("--n", type=_at_least(2), help="integer >= 2 to factor")
+    p.add_argument("--n", type=_at_least(2), required=True, help="integer >= 2 to factor")
 
     p = sub.add_parser("matsquare", parents=[cluster], help="square a random matrix")
     p.add_argument("--dim", type=_at_least(1), default=16, help="matrix dimension")
     p.add_argument("--seed", type=int, default=0, help="matrix RNG seed")
 
     p = sub.add_parser("queens", parents=[cluster], help="count non-attacking queen placements")
-    p.add_argument("--size", type=_at_least(1), help="board size")
+    p.add_argument("--size", type=_at_least(1), required=True, help="board size")
     p.add_argument("--overflow", type=_at_least(2), default=8, help="local stack spill threshold")
+
+    p = sub.add_parser("worker", help="join a TCP boss as one worker")
+    p.add_argument("app", choices=_APPS, help="the app whose handlers to run")
+    p.add_argument("--connect", metavar="HOST:PORT", required=True, help="boss address")
+    p.add_argument("--timeout", type=float, default=30.0, help="setup timeout in seconds")
 
     p = sub.add_parser("bench-overhead", help="sleep-job overhead benchmark (inproc)")
     p.add_argument("--workers", type=_at_least(1), default=4, help="worker threads")
@@ -101,34 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     cfg = parser.parse_args(argv)
-    if cfg.command not in _APPS:
-        return cfg
-    if cfg.role == "worker":
-        if cfg.transport != "tcp":
-            parser.error("--role worker requires --transport tcp")
-        if not cfg.connect:
-            parser.error("--role worker requires --connect HOST:PORT")
-        return cfg
-    if cfg.transport == "tcp" and not cfg.listen:
-        parser.error("--transport tcp requires --listen HOST:PORT in the boss role")
-    if cfg.transport == "inproc" and cfg.workers < 1:
-        parser.error("inproc transport requires --workers >= 1")
-    if cfg.command == "factor" and cfg.n is None:
-        parser.error("factor requires --n")
-    if cfg.command == "queens" and cfg.size is None:
-        parser.error("queens requires --size")
+    if cfg.command in _APPS and cfg.listen is None and cfg.workers < 1:
+        parser.error("--workers must be at least 1 without --listen")
     return cfg
 
 
 def _start_boss(cfg: argparse.Namespace, registry: HandlerRegistry):
-    if cfg.transport == "inproc":
+    if cfg.listen is None:
         return start(InprocConfig(cfg.workers), registry)
     return start(TcpBossConfig(cfg.listen, cfg.workers, cfg.timeout), registry)
-
-
-def _run_worker(cfg: argparse.Namespace) -> int:
-    start(TcpWorkerConfig(cfg.connect, cfg.timeout), registry_for(cfg.command))
-    return 0
 
 
 def _maybe_write_csv(cfg: argparse.Namespace, boss) -> None:
@@ -165,6 +150,11 @@ def _cmd_matsquare(cfg: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_worker(cfg: argparse.Namespace) -> int:
+    start(TcpWorkerConfig(cfg.connect, cfg.timeout), registry_for(cfg.app))
+    return 0
+
+
 def _cmd_bench_overhead(cfg: argparse.Namespace) -> int:
     report = bench_overhead(cfg.jobs, cfg.payload, cfg.sleep_ms / 1000.0, cfg.workers)
     print(format_overhead_table([report]))
@@ -188,6 +178,7 @@ _COMMANDS = {
     "factor": _cmd_factor,
     "queens": _cmd_queens,
     "matsquare": _cmd_matsquare,
+    "worker": _cmd_worker,
     "bench-overhead": _cmd_bench_overhead,
     "scaling": _cmd_scaling,
 }
@@ -199,8 +190,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if cfg.command in _APPS and cfg.role == "worker":
-            return _run_worker(cfg)
         return _COMMANDS[cfg.command](cfg)
     except (ParqueueError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from . import codec
@@ -201,25 +204,27 @@ def format_scaling_table(reports: Iterable[ScalingReport]) -> str:
     return "\n".join(lines)
 
 
-def _worker_process_main(app: str, connect: str, timeout: float) -> None:
-    # entry point for spawned worker processes; must stay module level
-    # so multiprocessing can import it by reference
-    from .apps import registry_for
-    from .runtime import TcpWorkerConfig, start
+def spawn_local_workers(app: str, connect: str, count: int) -> list[subprocess.Popen]:
+    """Start *count* `parqueue worker` processes for the named
+    application, each connecting to *connect* and importing this copy of
+    the package.  Returns the process handles."""
+    package_root = str(Path(__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    command = [sys.executable, "-m", "parqueue.cli", "worker", app, "--connect", connect]
+    return [subprocess.Popen(command, env=env, stdin=subprocess.DEVNULL) for _ in range(count)]
 
-    start(TcpWorkerConfig(connect, timeout), registry_for(app))
 
-
-def spawn_local_workers(app: str, connect: str, count: int, timeout: float = 30.0) -> list:
-    """Start *count* worker processes for the named application, each
-    connecting to *connect*.  Returns the process handles."""
-    ctx = multiprocessing.get_context("spawn")
-    procs = []
-    for _ in range(count):
-        proc = ctx.Process(target=_worker_process_main, args=(app, connect, timeout), daemon=True)
-        proc.start()
-        procs.append(proc)
-    return procs
+def _reap(procs: list[subprocess.Popen], timeout: float) -> None:
+    """Wait up to *timeout* seconds in all for the processes to exit,
+    then kill any still running."""
+    deadline = time.monotonic() + timeout
+    for proc in procs:
+        try:
+            proc.wait(timeout=max(deadline - time.monotonic(), 0))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 @dataclass(frozen=True)
@@ -230,14 +235,14 @@ class QueensRunMeasurement:
     samples: LoadLog
 
 
-def measure_queens_run(size: int, overflow: int, workers: int, transport: str = "tcp",
-                       host: str = "127.0.0.1") -> QueensRunMeasurement:
+def measure_queens_run(size: int, overflow: int, workers: int,
+                       transport: str = "tcp") -> QueensRunMeasurement:
     """Time one queens run at the given worker count.
 
     transport "tcp" spawns local worker processes (real CPU parallelism);
     "inproc" uses threads, which serialize Python compute but exercise
     the same protocol.  The measured span covers supervision only, not
-    cluster startup.
+    cluster startup.  No worker process outlives the call.
     """
     from .apps.queens import Queens
     from .runtime import InprocConfig, TcpBossConfig, start
@@ -247,10 +252,13 @@ def measure_queens_run(size: int, overflow: int, workers: int, transport: str = 
     if transport == "inproc":
         boss = start(InprocConfig(workers), app.registry())
     elif transport == "tcp":
-        port = pick_free_port(host)
-        addr = f"{host}:{port}"
+        addr = f"127.0.0.1:{pick_free_port()}"
         procs = spawn_local_workers("queens", addr, workers)
-        boss = start(TcpBossConfig(addr, workers), app.registry())
+        try:
+            boss = start(TcpBossConfig(addr, workers), app.registry())
+        except BaseException:
+            _reap(procs, timeout=0)
+            raise
     else:
         raise ValueError(f"unknown transport {transport!r}")
     try:
@@ -259,7 +267,8 @@ def measure_queens_run(size: int, overflow: int, workers: int, transport: str = 
         runtime_t = time.perf_counter() - t0
         samples = boss.samples
     finally:
-        boss.stop()
-        for proc in procs:
-            proc.join(timeout=30)
+        try:
+            boss.stop()
+        finally:
+            _reap(procs, timeout=30)
     return QueensRunMeasurement(workers, runtime_t, solutions, samples)

@@ -322,14 +322,11 @@ class Boss:
         job_type before any further job, and the call returns only after
         all workers have acknowledged."""
         self._require_open("share_data")
-        if job_type < 1:
-            raise ValueError(f"job type must be a positive integer, got {job_type!r}")
-        if not isinstance(data, bytes):
-            raise ValueError("shared data must be bytes")
+        share = Job(job_type, data)  # validates both before anything is sent
         if self.outstanding_jobs:
             raise LifecycleError("share_data requires all workers idle")
         try:
-            self.endpoint.broadcast(Frame(MessageKind.DATA_SHARE, job_type, data))
+            self.endpoint.broadcast(Frame(MessageKind.DATA_SHARE, share.job_type, share.data))
             for _ in range(self.total_workers):
                 _, frame = self.endpoint.recv()
                 if frame.kind is not MessageKind.JOB_RESULT or frame.payload:

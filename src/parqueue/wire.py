@@ -243,10 +243,10 @@ def _parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def pick_free_port(host: str = "127.0.0.1") -> int:
-    """Ask the OS for a currently free TCP port."""
+def pick_free_port() -> int:
+    """Ask the OS for a currently free TCP port on 127.0.0.1."""
     with socket.socket() as probe:
-        probe.bind((host, 0))
+        probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
 
 
@@ -258,7 +258,7 @@ class TcpBossEndpoint(_InboxEndpoint):
     reader thread per connection feeds the inbox.
     """
 
-    def __init__(self, listen: str, workers: int, timeout: float = 30.0):
+    def __init__(self, listen: str, workers: int, timeout: float):
         if workers < 0:
             raise ValueError("worker count must not be negative")
         super().__init__(BOSS_ID)
@@ -338,10 +338,9 @@ class TcpBossEndpoint(_InboxEndpoint):
 class TcpWorkerEndpoint(Endpoint):
     """Worker side of the TCP backend: one socket to the boss."""
 
-    def __init__(self, connect: str, timeout: float = 30.0):
+    def __init__(self, connect: str, timeout: float):
         host, port = _parse_addr(connect)
         deadline = time.monotonic() + timeout
-        sock = None
         while True:
             try:
                 sock = socket.create_connection((host, port), timeout=max(deadline - time.monotonic(), 0.01))
@@ -350,18 +349,18 @@ class TcpWorkerEndpoint(Endpoint):
                 if time.monotonic() >= deadline:
                     raise StartupError(f"cannot connect to boss at {connect}: {exc}") from exc
                 time.sleep(0.02)
-        sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._source = sock.makefile("rb")
+        # the connect timeout stays on the socket, so it bounds the handshake too
         try:
             hello = read_frame(self._source)
-        except (TruncationError, OSError) as exc:
-            sock.close()
-            raise StartupError(f"handshake with boss failed: {exc}") from exc
-        if hello.kind is not MessageKind.INFO_RESPONSE:
-            sock.close()
-            raise ProtocolError(f"expected handshake frame, got {hello.kind.name}")
+            if hello.kind is not MessageKind.INFO_RESPONSE:
+                raise ProtocolError(f"expected handshake frame, got {hello.kind.name}")
+        except (TruncationError, ProtocolError, OSError) as exc:
+            self.close()
+            raise StartupError(f"handshake with boss at {connect} failed: {exc}") from exc
+        sock.settimeout(None)
         self.node_id = hello.job_type
 
     def send(self, dest: int, frame: Frame) -> None:
@@ -386,4 +385,5 @@ class TcpWorkerEndpoint(Endpoint):
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._source.close()
         self._sock.close()

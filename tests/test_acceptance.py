@@ -107,7 +107,7 @@ def test_c5_backend_equivalence_factor_120():
                 primes = factor(boss, 120)
             if procs:
                 for proc in procs:
-                    proc.join(timeout=30)
+                    proc.wait(timeout=30)
             return primes, recorder.kind_counts()
 
         inproc_primes, inproc_counts = run_traced(InprocConfig(3))

@@ -1,4 +1,7 @@
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +17,7 @@ def run_cli(capsys, *argv):
 def test_parse_queens_config():
     cfg = parse_args(["queens", "--size", "12", "--overflow", "20", "--workers", "8"])
     assert (cfg.command, cfg.size, cfg.overflow, cfg.workers) == ("queens", 12, 20, 8)
-    assert cfg.transport == "inproc"
-    assert cfg.role == "boss"
+    assert cfg.listen is None
 
 
 def test_usage_errors_exit_two(capsys):
@@ -24,8 +26,10 @@ def test_usage_errors_exit_two(capsys):
         ["factor"],
         ["queens", "--size", "0"],
         ["queens", "--size", "5", "--overflow", "1"],
-        ["factor", "--n", "6", "--transport", "tcp"],           # boss without --listen
-        ["factor", "--role", "worker"],                          # worker without tcp/connect
+        ["factor", "--n", "6", "--connect", "127.0.0.1:1"],     # apps always run the boss
+        ["worker", "factor"],                                    # worker without --connect
+        ["worker", "factor", "--connect", "127.0.0.1:1", "--n", "6"],
+        ["worker", "nope", "--connect", "127.0.0.1:1"],
         ["factor", "--n", "6", "--workers", "0"],
         ["queens", "--size", "5", "--bogus-flag"],
         ["bench-overhead", "--jobs", "0"],
@@ -35,8 +39,7 @@ def test_usage_errors_exit_two(capsys):
         ["scaling", "--workers", "3"],
         ["bench-overhead", "--transport", "tcp"],
         ["bench-overhead", "--load-csv", "x.csv"],
-        ["queens", "--size", "5", "--transport", "tcp", "--listen", "127.0.0.1:1",
-         "--workers", "-1"],
+        ["queens", "--size", "5", "--listen", "127.0.0.1:1", "--workers", "-1"],
         ["no-such-command"],
     ]
     for argv in cases:
@@ -125,7 +128,7 @@ def test_scaling_load_csv_is_from_the_largest_run(tmp_path, capsys):
 def test_runtime_failure_exits_one(capsys):
     port = 39999
     code, out, err = run_cli(
-        capsys, "factor", "--n", "6", "--transport", "tcp",
+        capsys, "factor", "--n", "6",
         "--listen", f"127.0.0.1:{port}", "--workers", "1", "--timeout", "0.3",
     )
     assert code == 1
@@ -135,3 +138,19 @@ def test_runtime_failure_exits_one(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line.strip().rstrip("&")
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("parqueue ")
+    ]
+    assert lines
+    for line in lines:
+        try:
+            parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

@@ -150,6 +150,19 @@ def test_share_data_runs_every_worker_and_waits_for_acks():
         assert [j.data for j in out] == [b"second"] * 6
 
 
+@pytest.mark.parametrize("job_type, data", [(1.5, b""), ("1", b""), (0, b""), (1, "text")],
+                         ids=["float-type", "str-type", "zero-type", "str-data"])
+def test_share_data_rejects_bad_arguments_before_sending(job_type, data):
+    shared = []
+    registry = HandlerRegistry(worker={1: lambda job, ctx: shared.append(job.data)})
+    with start(InprocConfig(2), registry) as boss:
+        with pytest.raises(ValueError):
+            boss.share_data(job_type, data)
+        assert shared == []
+        boss.share_data(1, b"ok")
+        assert shared == [b"ok", b"ok"]
+
+
 def test_share_data_to_zero_workers_is_vacuous():
     boss = start(InprocConfig(0), HandlerRegistry())
     boss.share_data(1, b"anything")

@@ -1,16 +1,21 @@
 """End-to-end runs over the TCP backend on localhost."""
 
+import os
+import socket
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from support import record_boss
 
+import parqueue
+from parqueue import metrics
 from parqueue.apps import registry_for
 from parqueue.apps.factor import factor
 from parqueue.errors import StartupError
-from parqueue.metrics import spawn_local_workers
+from parqueue.metrics import measure_queens_run, spawn_local_workers
 from parqueue.runtime import TcpBossConfig, TcpWorkerConfig, start
 from parqueue.wire import MessageKind, pick_free_port
 
@@ -24,8 +29,7 @@ def test_factor_over_tcp_with_worker_processes():
         assert factor(boss, 360) == [2, 2, 2, 3, 3, 5]
         assert factor(boss, 97) == [97]
     for proc in procs:
-        proc.join(timeout=30)
-        assert proc.exitcode == 0
+        assert proc.wait(timeout=30) == 0
 
 
 def test_in_process_threads_can_host_tcp_workers():
@@ -57,8 +61,8 @@ def test_cli_worker_role_joins_a_library_boss():
     addr = f"127.0.0.1:{port}"
     workers = [
         subprocess.Popen(
-            [sys.executable, "-m", "parqueue.cli", "queens", "--role", "worker",
-             "--transport", "tcp", "--connect", addr, "--timeout", "15"],
+            [sys.executable, "-m", "parqueue.cli", "worker", "queens",
+             "--connect", addr, "--timeout", "15"],
         )
         for _ in range(2)
     ]
@@ -70,6 +74,35 @@ def test_cli_worker_role_joins_a_library_boss():
         assert app.run(boss, 8, 6) == 92
     for proc in workers:
         assert proc.wait(timeout=30) == 0
+
+
+def test_spawned_workers_import_this_copy_without_pythonpath(tmp_path):
+    # the package is reachable only through the parent's sys.path, as in
+    # an uninstalled checkout; the worker processes must still import it
+    src = str(Path(parqueue.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r})\n"
+              "from parqueue.metrics import measure_queens_run\n"
+              "print(measure_queens_run(6, 4, 1, 'tcp').solutions)\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout == "4\n", run.stderr
+
+
+def test_measure_queens_run_kills_its_workers_when_the_boss_cannot_start(monkeypatch):
+    spawned = []
+
+    def spawn(*args):
+        spawned.extend(spawn_local_workers(*args))
+        return spawned
+
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        monkeypatch.setattr(metrics, "pick_free_port", lambda: taken.getsockname()[1])
+        monkeypatch.setattr(metrics, "spawn_local_workers", spawn)
+        with pytest.raises(StartupError):
+            measure_queens_run(6, 4, 2, "tcp")
+    assert len(spawned) == 2
+    assert all(proc.poll() is not None for proc in spawned)
 
 
 def test_missing_worker_times_out_with_startup_error():
@@ -88,7 +121,7 @@ def test_tcp_and_inproc_produce_identical_boss_traces():
             primes = factor(boss, 120)
         if procs:
             for proc in procs:
-                proc.join(timeout=30)
+                proc.wait(timeout=30)
         return primes, recorder.kind_counts()
 
     inproc_primes, inproc_counts = run_traced(InprocConfig(3))

@@ -1,4 +1,5 @@
 import io
+import socket
 import threading
 import tracemalloc
 from random import Random
@@ -223,6 +224,34 @@ def test_tcp_connect_timeout_is_startup_error():
     port = pick_free_port()
     with pytest.raises(StartupError):
         TcpWorkerEndpoint(f"127.0.0.1:{port}", timeout=0.3)
+
+
+@pytest.mark.parametrize("reply", [b"", b"HTTP/1.1 200 OK\r\n\r\n", encode_frame(Frame(MessageKind.STOP))],
+                         ids=["none", "garbage", "stop-frame"])
+def test_tcp_worker_handshake_failure_is_a_bounded_startup_error(reply):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        addr = f"127.0.0.1:{listener.getsockname()[1]}"
+        outcome = []
+
+        def connect():
+            try:
+                outcome.append(TcpWorkerEndpoint(addr, 0.5))
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=connect, daemon=True)
+        thread.start()
+        listener.settimeout(5)
+        conn, _ = listener.accept()
+        with conn:
+            conn.sendall(reply)
+            thread.join(5)
+            assert not thread.is_alive(), "handshake still blocked after 5 s"
+            (error,) = outcome
+            assert isinstance(error, StartupError)
+            assert addr in str(error)
+            conn.settimeout(5)
+            assert conn.recv(64) == b""  # the worker closed its socket
 
 
 def _scripted_exchange(boss, workers):
