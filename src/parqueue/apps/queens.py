@@ -6,7 +6,8 @@ backtracks depth first, counting completed boards.  Whenever the local
 stack reaches the overflow threshold the worker sheds its oldest (most
 shallow, hence largest-subtree) entry to the boss as a new job, so idle
 workers pick up work without flooding the global queue with tiny jobs.
-Partial counts flow back through a boss-side task accumulator.
+Each job returns its partial count as the job result; a zero count is
+the empty result, which the boss drops, and the boss sums the rest.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .. import codec
 from ..runtime import Boss, HandlerRegistry, InprocConfig, Job, WorkerContext, start
 
 PLACE = 1
-COUNT = 2
 
 
 def fits(row: list[int]) -> bool:
@@ -88,31 +88,23 @@ def handle_place(job: Job, ctx: WorkerContext) -> bytes:
         ctx.submit(Job(PLACE, place_payload(spilled, size, overflow)))
 
     found = count_from(row, size, overflow, spill)
-    ctx.task(Job(COUNT, codec.encode(found)))
-    return b""
+    return codec.encode(found) if found else b""
 
 
 class Queens:
-    """One counting run; the boss-side accumulator collects the partial
-    sums workers report through COUNT tasks."""
-
-    def __init__(self):
-        self.solutions = 0
-
-    def _handle_count(self, payload: bytes, boss: Boss) -> None:
-        self.solutions += codec.decode(payload)
+    """One counting run: every job returns its partial count as its
+    result, zero counts are empty and dropped, and run sums the rest."""
 
     def registry(self) -> HandlerRegistry:
-        return HandlerRegistry(worker={PLACE: handle_place}, boss_task={COUNT: self._handle_count})
+        return HandlerRegistry(worker={PLACE: handle_place})
 
     def run(self, boss: Boss, size: int, overflow: int) -> int:
         if size < 1:
             raise ValueError("board size must be at least 1")
         if overflow < 2:
             raise ValueError("overflow must be at least 2")
-        self.solutions = 0
-        boss.run_jobs([Job(PLACE, place_payload([], size, overflow))])
-        return self.solutions
+        results = boss.run_jobs([Job(PLACE, place_payload([], size, overflow))])
+        return sum(codec.decode(result.data) for result in results)
 
 
 def queens_count(size: int, overflow: int, workers: int) -> int:

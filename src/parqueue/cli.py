@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="parqueue", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for errors spanning its options
 
     p = sub.add_parser("factor", parents=[cluster], help="prime factorization")
     p.add_argument("--n", type=_at_least(2), required=True, help="integer >= 2 to factor")
@@ -106,7 +107,7 @@ def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     cfg = parser.parse_args(argv)
     if cfg.command in _APPS and cfg.listen is None and cfg.workers < 1:
-        parser.error("--workers must be at least 1 without --listen")
+        parser.subcommands[cfg.command].error("--workers must be at least 1 without --listen")
     return cfg
 
 

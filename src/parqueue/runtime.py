@@ -45,7 +45,7 @@ from .wire import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Job:
     """A typed unit of work: positive type tag plus opaque payload."""
 

@@ -47,6 +47,13 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
 
 
+def test_cross_option_error_shows_the_subcommand_usage(capsys):
+    code, _, err = run_cli(capsys, "factor", "--n", "6", "--workers", "0")
+    assert code == 2
+    assert err.startswith("usage: parqueue factor ")
+    assert "--workers must be at least 1 without --listen" in err
+
+
 def test_factor_golden_line(capsys):
     code, out, err = run_cli(capsys, "factor", "--n", "120", "--workers", "4")
     assert code == 0

@@ -1,7 +1,9 @@
 import os
+from random import Random
 
 import pytest
 from oracles import serial_queens_count
+from support import record_boss
 
 from parqueue.apps.queens import (
     Queens,
@@ -11,7 +13,22 @@ from parqueue.apps.queens import (
     place_payload,
     queens_count,
 )
-from parqueue.runtime import InprocConfig, start
+from parqueue.metrics import spawn_local_workers
+from parqueue.runtime import InprocConfig, TcpBossConfig, start
+from parqueue.wire import MessageKind, pick_free_port
+
+
+def run_traced(config, size, overflow, procs=()):
+    """Count on a fresh cluster; returns the count and the boss's
+    per-kind frame counts."""
+    app = Queens()
+    boss = start(config, app.registry())
+    recorder = record_boss(boss)
+    with boss:
+        solutions = app.run(boss, size, overflow)
+    for proc in procs:
+        proc.wait(timeout=30)
+    return solutions, recorder.kind_counts()
 
 
 def test_fits_examples():
@@ -51,6 +68,25 @@ def test_count_independent_of_overflow_and_workers():
         for overflow in (2, 4, 64):
             for workers in (1, 3):
                 assert queens_count(size, overflow, workers) == expected
+            for seed in (5, 6, 7):  # seeded arrival orders
+                solutions, _ = run_traced(InprocConfig(3, Random(seed)), size, overflow)
+                assert solutions == expected
+
+
+def test_job_graph_frames_match_on_both_transports():
+    inproc_count, inproc = run_traced(InprocConfig(2), 8, 4)
+    addr = f"127.0.0.1:{pick_free_port()}"
+    procs = spawn_local_workers("queens", addr, 2)
+    tcp_count, tcp = run_traced(TcpBossConfig(addr, 2, timeout=30), 8, 4, procs)
+
+    assert inproc_count == tcp_count == 92
+    assert inproc == tcp
+    # one round trip per job: the count rides on the RESULT, no task frames
+    assert not [kind for _, kind in tcp
+                if kind in (MessageKind.TASK_REQUEST, MessageKind.TASK_RESPONSE)]
+    assigns = tcp[("send", MessageKind.JOB_ASSIGN)]
+    assert tcp[("recv", MessageKind.JOB_RESULT)] == assigns
+    assert tcp[("recv", MessageKind.JOB_SUBMIT)] == assigns - 1
 
 
 def test_local_stack_never_exceeds_overflow_at_loop_top():

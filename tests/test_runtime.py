@@ -28,6 +28,7 @@ def test_job_type_must_be_positive():
     with pytest.raises(ValueError):
         Job(1, "not bytes")
     assert Job(1).data == b""
+    assert not hasattr(Job(1), "__dict__")  # slotted: results are held by the thousand
 
 
 def test_start_returns_boss_and_stop_terminates_workers():
