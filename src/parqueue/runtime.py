@@ -87,7 +87,7 @@ class HandlerRegistry:
 class InprocConfig:
     """All nodes in one process; workers are threads.  recv_rng seeds
     the boss's choice among ready channels, letting tests explore
-    message interleavings reproducibly."""
+    message interleavings."""
 
     workers: int
     recv_rng: Random | None = None

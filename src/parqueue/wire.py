@@ -8,31 +8,31 @@ A frame is a 13-byte header followed by the payload bytes:
     3       1     message kind code
     4       1     reserved, must be zero
     5       4     job type, unsigned 32-bit little-endian (0 when unused)
-    9       4     payload length, unsigned 32-bit little-endian
+    9       4     payload length, unsigned 32-bit little-endian, at most MAX_PAYLOAD
     13      len   payload
 
 Two interchangeable backends implement the Endpoint contract: an
 in-process backend linking node threads, and a TCP backend speaking the
-frame grammar over sockets.  Each in-process node and the TCP boss
-receive through one inbox that peers (or one TCP reader thread per
-connection) feed directly, so frames are received in arrival order and
-in send order between any pair of nodes; a boss given recv_rng instead
-picks at random among the peers whose frames have arrived.  A lost peer
-surfaces as a TransportError naming the node, and once every peer is
-gone recv raises rather than blocks (there is no reconnection or
-failover).
+frame grammar over sockets.  Each in-process node receives through one
+inbox that its peers feed directly; the TCP boss starts no thread and
+reads from the sockets that one selector reports ready.  Frames arrive
+in send order between any pair of nodes.  A lost peer surfaces as a
+TransportError naming the node and its reason (a TCP worker sends one
+in an ABORT frame), and once every peer is gone recv raises rather than
+blocks (there is no reconnection or failover).
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
-import threading
 import time
 from collections import defaultdict, deque
 from enum import IntEnum
 from queue import SimpleQueue
 from random import Random
+from types import SimpleNamespace
 from typing import BinaryIO, NamedTuple
 
 from .errors import (
@@ -47,6 +47,7 @@ MAGIC = b"MQ"
 VERSION = 1
 HEADER = struct.Struct("<2sBBxII")
 HEADER_SIZE = HEADER.size  # 13
+MAX_PAYLOAD = 1 << 28  # 256 MiB
 
 BOSS_ID = 0
 
@@ -63,6 +64,7 @@ class MessageKind(IntEnum):
     INFO_RESPONSE = 7
     DATA_SHARE = 8
     STOP = 9
+    ABORT = 10
 
 
 class Frame(NamedTuple):
@@ -72,8 +74,8 @@ class Frame(NamedTuple):
 
 
 def encode_frame(frame: Frame) -> bytes:
-    if len(frame.payload) > 0xFFFFFFFF:
-        raise ProtocolError("frame payload exceeds the 32-bit length field")
+    if len(frame.payload) > MAX_PAYLOAD:
+        raise ProtocolError(f"frame payload of {len(frame.payload)} bytes exceeds the maximum {MAX_PAYLOAD}")
     if not 0 <= frame.job_type <= 0xFFFFFFFF:
         raise ProtocolError(f"job type {frame.job_type} exceeds the 32-bit field")
     header = HEADER.pack(MAGIC, VERSION, int(frame.kind), frame.job_type, len(frame.payload))
@@ -112,6 +114,8 @@ def read_frame(source: BinaryIO) -> Frame:
         kind = MessageKind(kind_code)
     except ValueError:
         raise ProtocolError(f"unknown message kind code {kind_code}") from None
+    if length > MAX_PAYLOAD:
+        raise ProtocolError(f"frame payload of {length} bytes exceeds the maximum {MAX_PAYLOAD}")
     payload = _read_exact(source, length) if length else b""
     return Frame(kind, job_type, payload)
 
@@ -125,6 +129,7 @@ class Endpoint:
     """
 
     node_id: int
+    _peers: dict  # node id -> what send writes to, in broadcast order
 
     def send(self, dest: int, frame: Frame) -> None:
         raise NotImplementedError
@@ -133,7 +138,10 @@ class Endpoint:
         raise NotImplementedError
 
     def broadcast(self, frame: Frame) -> None:
-        raise NotImplementedError
+        if self.node_id != BOSS_ID:
+            raise LifecycleError("broadcast is a boss-only operation")
+        for dest in self._peers:
+            self.send(dest, frame)
 
     def close(self, reason: str | None = None) -> None:
         raise NotImplementedError
@@ -143,29 +151,32 @@ class _Closed(NamedTuple):
     reason: str | None
 
 
-class _InboxEndpoint(Endpoint):
-    """Receive side shared by the in-process endpoints and the TCP boss.
-
-    The inbox holds (src, Frame | _Closed) items.  With recv_rng set,
-    recv moves what has arrived into per-source deques and picks a
-    non-empty one at random, so tests can explore message interleavings
-    reproducibly.
-    """
+class InprocEndpoint(Endpoint):
+    """In-process node endpoint: peers put (src, Frame | _Closed) items
+    straight into its inbox.  With recv_rng set, recv moves what has
+    arrived into per-source deques and picks a non-empty one at random,
+    so tests can explore message interleavings."""
 
     def __init__(self, node_id: int, recv_rng: Random | None = None):
         self.node_id = node_id
         self._inbox: SimpleQueue = SimpleQueue()
-        self._peers: dict = {}  # node id -> what send writes to, in broadcast order
+        self._peers: dict[int, InprocEndpoint] = {}
         self._open_peers = 0
         self._rng = recv_rng
         self._channels: defaultdict[int, deque] = defaultdict(deque)
         self._closed = False
 
-    def broadcast(self, frame: Frame) -> None:
-        if self.node_id != BOSS_ID:
-            raise LifecycleError("broadcast is a boss-only operation")
-        for dest in self._peers:
-            self.send(dest, frame)
+    def _connect(self, peer: InprocEndpoint) -> None:
+        self._peers[peer.node_id] = peer
+        self._open_peers += 1
+
+    def send(self, dest: int, frame: Frame) -> None:
+        peer = self._peers.get(dest)
+        if peer is None:
+            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
+        if peer._closed:
+            raise TransportError(f"node {dest} is closed")
+        peer._inbox.put((self.node_id, frame))
 
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
@@ -193,22 +204,6 @@ class _InboxEndpoint(Endpoint):
                 raise TransportError("all peers disconnected")
             src, item = inbox.get()
             channels[src].append(item)
-
-
-class InprocEndpoint(_InboxEndpoint):
-    """In-process node endpoint: peers put frames straight into its inbox."""
-
-    def _connect(self, peer: InprocEndpoint) -> None:
-        self._peers[peer.node_id] = peer
-        self._open_peers += 1
-
-    def send(self, dest: int, frame: Frame) -> None:
-        peer = self._peers.get(dest)
-        if peer is None:
-            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
-        if peer._closed:
-            raise TransportError(f"node {dest} is closed")
-        peer._inbox.put((self.node_id, frame))
 
     def close(self, reason: str | None = None) -> None:
         if self._closed:
@@ -250,20 +245,24 @@ def pick_free_port() -> int:
         return probe.getsockname()[1]
 
 
-class TcpBossEndpoint(_InboxEndpoint):
+class TcpBossEndpoint(Endpoint):
     """Boss side of the TCP backend.
 
     Workers are numbered 1..N in connection order; each learns its id
-    from a one-frame handshake (kind=INFO_RESPONSE, job_type=id).  One
-    reader thread per connection feeds the inbox.
+    from a one-frame handshake (kind=INFO_RESPONSE, job_type=id).  recv
+    reads one frame from each connection the selector reports ready in
+    turn, through the socket's own recv: nothing is buffered in user
+    space, so a frame left in the kernel wakes the next select.  A
+    connection is open while it is registered.
     """
 
     def __init__(self, listen: str, workers: int, timeout: float):
         if workers < 0:
             raise ValueError("worker count must not be negative")
-        super().__init__(BOSS_ID)
+        self.node_id = BOSS_ID
+        self._peers: dict[int, socket.socket] = {}
+        self._closed = False
         host, port = _parse_addr(listen)
-        self._readers: list[threading.Thread] = []
         deadline = time.monotonic() + timeout
         try:
             listener = socket.create_server((host, port), backlog=workers or 1)
@@ -271,12 +270,7 @@ class TcpBossEndpoint(_InboxEndpoint):
             raise StartupError(f"cannot listen on {listen}: {exc}") from exc
         try:
             for node_id in range(1, workers + 1):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise StartupError(
-                        f"timed out waiting for worker {node_id} of {workers} to connect"
-                    )
-                listener.settimeout(remaining)
+                listener.settimeout(max(deadline - time.monotonic(), 0.01))
                 try:
                     conn, _ = listener.accept()
                 except socket.timeout:
@@ -294,25 +288,10 @@ class TcpBossEndpoint(_InboxEndpoint):
             raise
         finally:
             listener.close()
-        self._open_peers = workers
+        self._selector = selectors.DefaultSelector()
         for node_id, conn in self._peers.items():
-            reader = threading.Thread(
-                target=self._read_loop,
-                args=(node_id, conn),
-                name=f"parqueue-reader-{node_id}",
-                daemon=True,
-            )
-            reader.start()
-            self._readers.append(reader)
-
-    def _read_loop(self, node_id: int, conn: socket.socket) -> None:
-        source = conn.makefile("rb")
-        try:
-            while True:
-                frame = read_frame(source)
-                self._inbox.put((node_id, frame))
-        except (TruncationError, ProtocolError, OSError) as exc:
-            self._inbox.put((node_id, _Closed(str(exc))))
+            self._selector.register(conn, selectors.EVENT_READ, (node_id, SimpleNamespace(read=conn.recv)))
+        self._ready: deque[selectors.SelectorKey] = deque()
 
     def send(self, dest: int, frame: Frame) -> None:
         conn = self._peers.get(dest)
@@ -323,16 +302,34 @@ class TcpBossEndpoint(_InboxEndpoint):
         except OSError as exc:
             raise TransportError(f"send to node {dest} failed: {exc}") from exc
 
+    def recv(self) -> tuple[int, Frame]:
+        if self._closed:
+            raise TransportError("endpoint is closed")
+        while not self._ready:
+            if not self._selector.get_map():
+                raise TransportError("all peers disconnected")
+            self._ready.extend(key for key, _ in self._selector.select())
+        key = self._ready.popleft()
+        node_id, source = key.data
+        try:
+            frame = read_frame(source)
+            if frame.kind is not MessageKind.ABORT:
+                return node_id, frame
+            reason = frame.payload.decode("utf-8", "replace")
+        except (TruncationError, ProtocolError, OSError) as exc:
+            reason = str(exc)
+        self._selector.unregister(key.fileobj)
+        raise TransportError(f"node {node_id} disconnected: {reason}")
+
     def close(self, reason: str | None = None) -> None:
         self._closed = True
+        self._selector.close()
         for conn in self._peers.values():
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             conn.close()
-        for reader in self._readers:
-            reader.join(timeout=5)
 
 
 class TcpWorkerEndpoint(Endpoint):
@@ -371,9 +368,6 @@ class TcpWorkerEndpoint(Endpoint):
         except OSError as exc:
             raise TransportError(f"send to boss failed: {exc}") from exc
 
-    def broadcast(self, frame: Frame) -> None:
-        raise LifecycleError("broadcast is a boss-only operation")
-
     def recv(self) -> tuple[int, Frame]:
         try:
             return BOSS_ID, read_frame(self._source)
@@ -382,6 +376,9 @@ class TcpWorkerEndpoint(Endpoint):
 
     def close(self, reason: str | None = None) -> None:
         try:
+            if reason:  # tell the boss why before hanging up
+                abort = Frame(MessageKind.ABORT, 0, reason.encode("utf-8", "replace"))
+                self._sock.sendall(encode_frame(abort))
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass

@@ -7,6 +7,7 @@ from parqueue import codec
 from parqueue.errors import (
     ConfigurationError,
     LifecycleError,
+    ParqueueError,
     TransportError,
 )
 from parqueue.runtime import (
@@ -15,9 +16,11 @@ from parqueue.runtime import (
     InprocConfig,
     Job,
     QueueInfo,
+    TcpBossConfig,
+    TcpWorkerConfig,
     start,
 )
-from parqueue.wire import MessageKind
+from parqueue.wire import MessageKind, pick_free_port
 
 
 def test_job_type_must_be_positive():
@@ -195,16 +198,42 @@ def test_unregistered_task_type_is_configuration_error():
             boss.run_jobs([Job(1)])
 
 
-def test_handler_exception_aborts_with_job_type_diagnostic():
+def _start_tcp_with_worker_threads(workers, registry):
+    """A TCP boss whose workers run start(TcpWorkerConfig) in threads."""
+    addr = f"127.0.0.1:{pick_free_port()}"
+
+    def worker_main():
+        try:
+            start(TcpWorkerConfig(addr, timeout=10), registry)
+        except ParqueueError:
+            pass  # a failed run ends every worker; the boss reports why
+
+    threads = [threading.Thread(target=worker_main, daemon=True) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    return start(TcpBossConfig(addr, workers, timeout=10), registry), threads
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_handler_exception_aborts_with_job_type_diagnostic(transport):
     def handler(job, ctx):
         raise RuntimeError("kaboom")
 
     registry = HandlerRegistry(worker={3: handler})
-    with start(InprocConfig(2), registry) as boss:
+    if transport == "inproc":
+        boss, threads = start(InprocConfig(2), registry), []
+    else:
+        boss, threads = _start_tcp_with_worker_threads(2, registry)
+    with boss:
         with pytest.raises(TransportError) as excinfo:
             boss.run_jobs([Job(3)])
-    message = str(excinfo.value)
-    assert "job type 3" in message and "kaboom" in message
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    # the same text on both transports: a TCP worker sends its reason in an ABORT frame
+    assert str(excinfo.value) == (
+        "node 1 disconnected: worker handler for job type 3 raised RuntimeError: kaboom"
+    )
 
 
 def test_handler_returning_non_bytes_aborts():

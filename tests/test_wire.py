@@ -17,7 +17,9 @@ from parqueue.errors import (
 )
 from parqueue.wire import (
     HEADER,
+    HEADER_SIZE,
     MAGIC,
+    MAX_PAYLOAD,
     VERSION,
     Frame,
     MessageKind,
@@ -46,6 +48,11 @@ def test_job_assign_frame_golden_bytes():
     assert data[5:9] == (1).to_bytes(4, "little")    # job type
     assert data[9:13] == (3).to_bytes(4, "little")   # payload length
     assert data[13:] == b"abc"
+
+
+def test_abort_frame_golden_bytes():
+    data = encode_frame(Frame(MessageKind.ABORT, 0, "boom".encode()))
+    assert data == bytes([0x4D, 0x51, 0x01, 0x0A, 0, 0, 0, 0, 0, 0x04, 0, 0, 0]) + b"boom"
 
 
 def test_frame_roundtrip_property():
@@ -94,6 +101,21 @@ def test_oversize_payload_rejected_on_encode():
     frame = Frame(MessageKind.JOB_ASSIGN, 2**32, b"")
     with pytest.raises(ProtocolError):
         encode_frame(frame)
+
+    class Huge(bytes):  # claims one byte more than a frame may carry
+        def __len__(self):
+            return MAX_PAYLOAD + 1
+
+    with pytest.raises(ProtocolError, match="exceeds"):
+        encode_frame(Frame(MessageKind.JOB_ASSIGN, 1, Huge()))
+
+
+def test_payload_length_over_the_maximum_fails_at_the_header():
+    header = HEADER.pack(MAGIC, VERSION, int(MessageKind.DATA_SHARE), 1, MAX_PAYLOAD + 1)
+    source = io.BytesIO(header + b"0123456789")
+    with pytest.raises(ProtocolError, match=str(MAX_PAYLOAD + 1)):
+        read_frame(source)
+    assert source.tell() == HEADER_SIZE  # no payload byte was read
 
 
 def test_inproc_per_channel_fifo():
@@ -393,3 +415,72 @@ def test_seeded_recv_keeps_per_channel_fifo_and_reports_close_reasons():
         ]
         with pytest.raises(TransportError, match="all peers disconnected"):
             boss.recv()
+
+
+def test_tcp_boss_keeps_per_peer_fifo_and_reports_close_reasons():
+    per_worker = 200
+    boss, workers = _tcp_pair(workers=2)
+
+    def flood(endpoint):
+        for seq in range(per_worker):
+            endpoint.send(0, Frame(MessageKind.JOB_SUBMIT, 0, codec.encode(seq)))
+        endpoint.close(f"worker {endpoint.node_id} done")
+
+    threads = [threading.Thread(target=flood, args=(ep,)) for ep in workers]
+    for t in threads:
+        t.start()
+    try:
+        next_seq = {1: 0, 2: 0}
+        reasons = []
+        while len(reasons) < 2:
+            outcome = _recv_outcome(boss, timeout=10)
+            if isinstance(outcome, TransportError):
+                reasons.append(str(outcome))
+                continue
+            src, frame = outcome
+            assert codec.decode(frame.payload) == next_seq[src]
+            next_seq[src] += 1
+        assert next_seq == {1: per_worker, 2: per_worker}
+        assert sorted(reasons) == [
+            "node 1 disconnected: worker 1 done",
+            "node 2 disconnected: worker 2 done",
+        ]
+        outcome = _recv_outcome(boss)
+        assert isinstance(outcome, TransportError)
+        assert "all peers disconnected" in str(outcome)
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    finally:
+        boss.close()
+
+
+def test_tcp_boss_allocates_only_arriving_bytes():
+    # the selector path reads through read_frame, so a header claiming
+    # 64 MiB followed by 10 bytes costs the boss no 64 MiB allocation
+    boss, (worker,) = _tcp_pair()
+    try:
+        header = HEADER.pack(MAGIC, VERSION, int(MessageKind.DATA_SHARE), 1, 64 << 20)
+        worker._sock.sendall(header + b"0123456789")
+        worker.close()
+        tracemalloc.start()
+        try:
+            outcome = _recv_outcome(boss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(outcome) == "node 1 disconnected: stream ended after 10 of 67108864 bytes"
+        assert peak < 4 << 20
+    finally:
+        boss.close()
+
+
+def test_tcp_boss_starts_no_thread():
+    before = set(threading.enumerate())
+    boss, workers = _tcp_pair(workers=2)
+    try:
+        assert set(threading.enumerate()) - before == set()
+    finally:
+        boss.close()
+        for w in workers:
+            w.close()
