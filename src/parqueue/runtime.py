@@ -17,7 +17,6 @@ queue, ask the boss to run a task immediately, or query queue state.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -86,10 +85,9 @@ class HandlerRegistry:
 
 @dataclass
 class InprocConfig:
-    """All nodes in one process; workers are threads, and while the
-    cluster is up they and the thread that started it share one CPU
-    (see _share_one_cpu).  recv_rng seeds the boss's choice among ready
-    channels, letting tests explore message interleavings."""
+    """All nodes in one process; workers are threads.  recv_rng seeds
+    the boss's choice among ready channels, letting tests explore
+    message interleavings."""
 
     workers: int
     recv_rng: Random | None = None
@@ -221,12 +219,10 @@ class Boss:
     """Supervision handle returned by start() on node 0."""
 
     def __init__(self, endpoint: Endpoint, total_workers: int, registry: HandlerRegistry,
-                 worker_threads: Iterable[threading.Thread] = (),
-                 release_cpu: Callable[[], None] | None = None):
+                 worker_threads: Iterable[threading.Thread] = ()):
         self.endpoint = endpoint
         self.total_workers = total_workers
         self.registry = registry
-        self._release_cpu = release_cpu
         self.samples = LoadLog()
         self._idle = set(range(1, total_workers + 1))
         self._inqueue: deque[Job] = deque()
@@ -354,8 +350,6 @@ class Boss:
             self.endpoint.close()
             for thread in self._threads:
                 thread.join(timeout=10)
-            if self._release_cpu is not None:
-                self._release_cpu()
 
     def __enter__(self) -> "Boss":
         return self
@@ -373,36 +367,6 @@ class Boss:
 ClusterConfig = InprocConfig | TcpBossConfig | TcpWorkerConfig
 
 
-def _share_one_cpu() -> Callable[[], None] | None:
-    """Pin the calling thread, and so the worker threads it starts next,
-    to the CPU it runs on; return the call that restores its CPU mask,
-    or None when nothing was pinned.  Only one in-process node runs
-    Python at a time, so one CPU costs no parallelism, while lock
-    hand-offs across CPUs wait for the other CPU to wake: queens 12 at
-    overflow 4 on 1 then 8 workers took 15.1-23.7 s unpinned and
-    8.7-9.4 s pinned (3 alternating runs each, idle 2-CPU machine)."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    allowed = os.sched_getaffinity(0)
-    if len(allowed) < 2:
-        return None
-    try:
-        with open("/proc/thread-self/stat", "rb") as stat:
-            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])  # field 39, processor
-        os.sched_setaffinity(0, {cpu})
-    except (OSError, ValueError, IndexError):
-        return None
-    tid = threading.get_native_id()
-
-    def release() -> None:
-        try:
-            os.sched_setaffinity(tid, allowed)
-        except OSError:  # the thread has exited
-            pass
-
-    return release
-
-
 def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
     """Bring the cluster up.
 
@@ -411,7 +375,6 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
     """
     if isinstance(config, InprocConfig):
         endpoints = inproc_cluster(config.workers, config.recv_rng)
-        release_cpu = _share_one_cpu()
         threads = []
         for endpoint in endpoints[1:]:
             thread = threading.Thread(
@@ -422,7 +385,7 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
             )
             thread.start()
             threads.append(thread)
-        return Boss(endpoints[0], config.workers, registry, threads, release_cpu)
+        return Boss(endpoints[0], config.workers, registry, threads)
     if isinstance(config, TcpBossConfig):
         endpoint = TcpBossEndpoint(config.listen, config.workers, config.timeout)
         return Boss(endpoint, config.workers, registry)

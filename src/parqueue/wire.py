@@ -253,7 +253,8 @@ class TcpBossEndpoint(Endpoint):
     reads one frame from each connection the selector reports ready in
     turn, through the socket's own recv: nothing is buffered in user
     space, so a frame left in the kernel wakes the next select.  A
-    connection is open while it is registered.
+    connection is open while it is registered.  A frame is read whole
+    once begun: a peer that sends part of one stalls every other peer.
     """
 
     def __init__(self, listen: str, workers: int, timeout: float):

@@ -1,4 +1,3 @@
-import os
 import threading
 
 import pytest
@@ -46,31 +45,6 @@ def test_start_returns_boss_and_stop_terminates_workers():
     assert calls == []  # stop as first message: zero jobs run
     with pytest.raises(LifecycleError):
         boss.stop()
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="pinning to one CPU needs a choice of at least two")
-@pytest.mark.parametrize("fail", [False, True], ids=["clean", "aborted"])
-def test_inproc_cluster_shares_one_cpu_and_gives_the_mask_back(fail):
-    allowed = os.sched_getaffinity(0)
-    seen = []
-
-    def handler(job, ctx):
-        seen.append(os.sched_getaffinity(0))
-        if fail:
-            raise RuntimeError("kaboom")
-        return b""
-
-    with start(InprocConfig(2), HandlerRegistry(worker={1: handler})) as boss:
-        pinned = os.sched_getaffinity(0)
-        assert len(pinned) == 1 and pinned <= allowed
-        if fail:
-            with pytest.raises(TransportError, match="kaboom"):
-                boss.run_jobs([Job(1)])
-        else:
-            boss.run_jobs([Job(1), Job(1)])
-    assert seen and all(mask == pinned for mask in seen)  # worker threads inherit the pin
-    assert os.sched_getaffinity(0) == allowed
 
 
 def test_operations_rejected_after_stop():
