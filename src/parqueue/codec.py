@@ -12,6 +12,7 @@ grammar.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 from .errors import EncodingError, MalformedPayloadError, TruncationError
 
@@ -58,9 +59,36 @@ def encode(value: Value) -> bytes:
     the 64-bit ranges, sequences/strings/records longer than a 32-bit
     count, mixed-kind sequences, or unsupported Python types.
     """
+    packed = _pack_scalars(value) if type(value) is list else None
+    if packed is not None:
+        return packed
     out = bytearray()
     _write(out, value)
     return bytes(out)
+
+
+@lru_cache(maxsize=128)
+def _scalar_seq(elem_tag: int, n: int) -> struct.Struct:
+    """Packs a whole sequence of n uints or n floats, header included."""
+    return struct.Struct("<BI" + ("BQ" if elem_tag == TAG_UINT else "Bd") * n)
+
+
+def _pack_scalars(items: list) -> bytes | None:
+    """A list of plain ints >= 0 or plain floats, encoded in one struct
+    call; None for any other list, for _write_seq to handle."""
+    kind = type(items[0]) if items else int  # [] packs as an empty uint sequence
+    if kind is not int and kind is not float:
+        return None
+    for item in items:
+        if type(item) is not kind:  # bools, subclasses and mixed kinds
+            return None
+    tag, n = (TAG_UINT if kind is int else TAG_FLOAT), len(items)
+    flat = [tag] * (2 * n)
+    flat[1::2] = items
+    try:
+        return _scalar_seq(tag, n).pack(TAG_SEQ, n, *flat)
+    except struct.error:
+        return None
 
 
 def _write(out: bytearray, value) -> None:
@@ -94,29 +122,18 @@ def _write_seq(out: bytearray, items: list) -> None:
     n = len(items)
     if n > _U32_MAX:
         raise EncodingError("sequence exceeds the 32-bit count prefix")
+    packed = _pack_scalars(items)
+    if packed is not None:
+        out += packed
+        return
     out.append(TAG_SEQ)
     out += _U32.pack(n)
-    if n == 0:
-        return
     elem_tag = _tag_of(items[0])
     for item in items[1:]:
         if _tag_of(item) != elem_tag:
             raise EncodingError("sequence elements must all be the same kind")
-    # scalar sequences are packed in one struct call (same bytes as the
-    # element-by-element form, just faster for hot payloads)
-    if elem_tag == TAG_UINT or elem_tag == TAG_FLOAT:
-        flat = []
-        for v in items:
-            flat.append(elem_tag)
-            flat.append(v)
-        fmt = "<" + ("BQ" if elem_tag == TAG_UINT else "Bd") * n
-        try:
-            out += struct.pack(fmt, *flat)
-        except struct.error:  # only a uint beyond 64 bits can fail to pack
-            raise EncodingError("sequence integer exceeds the unsigned 64-bit range") from None
-    else:
-        for item in items:
-            _write(out, item)
+    for item in items:
+        _write(out, item)
 
 
 def _write_record(out: bytearray, record: dict) -> None:
@@ -207,13 +224,12 @@ def _read_seq(data: bytes, offset: int):
     _need(data, offset, n)  # every element occupies at least one byte
     elem_tag = data[offset]
     if elem_tag == TAG_UINT or elem_tag == TAG_FLOAT:
-        # bulk path mirroring _write_seq
+        # bulk path mirroring _pack_scalars; the struct starts at the sequence tag
         _need(data, offset, 9 * n)
-        fmt = "<" + ("BQ" if elem_tag == TAG_UINT else "Bd") * n
-        flat = struct.unpack_from(fmt, data, offset)
-        if any(t != elem_tag for t in flat[0::2]):
+        flat = _scalar_seq(elem_tag, n).unpack_from(data, offset - 5)
+        if flat[2::2].count(elem_tag) != n:
             raise MalformedPayloadError("sequence elements must all be the same kind")
-        return list(flat[1::2]), offset + 9 * n
+        return list(flat[3::2]), offset + 9 * n
     items = []
     for _ in range(n):
         _need(data, offset, 1)

@@ -225,7 +225,9 @@ class Boss:
         self.registry = registry
         self.samples = LoadLog()
         self._idle = set(range(1, total_workers + 1))
-        self._inqueue: deque[Job] = deque()
+        # the live queue, one column per Job field, so a queued job costs two deque slots
+        self._types: deque[int] = deque()
+        self._payloads: deque[bytes] = deque()
         self._supervising = False
         self._stopped = False
         self._aborted = False
@@ -233,7 +235,7 @@ class Boss:
 
     @property
     def queued_jobs(self) -> int:
-        return len(self._inqueue)
+        return len(self._types)
 
     @property
     def idle_workers(self) -> int:
@@ -257,13 +259,15 @@ class Boss:
         queue, collect non-empty results, answer tasks and info requests
         in arrival order.  Returns the result queue."""
         self._require_open("run_jobs")
-        inqueue = self._inqueue
-        inqueue.clear()
+        types, payloads = self._types, self._payloads
+        types.clear()
+        payloads.clear()
         for job in jobs:
             if not isinstance(job, Job):
                 raise TypeError(f"expected Job, got {type(job).__name__}")
-            inqueue.append(job)
-        if inqueue and self.total_workers == 0:
+            types.append(job.job_type)
+            payloads.append(job.data)
+        if types and self.total_workers == 0:
             raise ConfigurationError("jobs queued but the cluster has no workers")
         outqueue: deque[Job] = deque()
         endpoint = self.endpoint
@@ -277,35 +281,37 @@ class Boss:
         self._supervising = True
         self.samples.clear()
         t0 = now()
-        record(0.0, 0, len(inqueue))
+        record(0.0, 0, len(types))
         try:
-            while inqueue or len(idle) < total:
-                if inqueue and idle:
+            while types or len(idle) < total:
+                if types and idle:
                     dest = min(idle)
-                    job = inqueue.popleft()
-                    send(dest, Frame(assign_kind, job.job_type, job.data))
+                    send(dest, Frame(assign_kind, types.popleft(), payloads.popleft()))
                     idle.remove(dest)
-                    record(now() - t0, total - len(idle), len(inqueue))
+                    record(now() - t0, total - len(idle), len(types))
                     continue
                 src, frame = recv()
                 kind = frame.kind
                 if kind is submit_kind:
-                    inqueue.append(Job(frame.job_type, frame.payload))
-                    record(now() - t0, total - len(idle), len(inqueue))
+                    if not frame.job_type:
+                        raise ProtocolError(f"worker {src} submitted job type 0")
+                    types.append(frame.job_type)
+                    payloads.append(frame.payload)
+                    record(now() - t0, total - len(idle), len(types))
                 elif kind is result_kind:
                     if src in idle:
                         raise ProtocolError(f"unsolicited job result from idle worker {src}")
                     idle.add(src)
                     if frame.payload:
                         outqueue.append(Job(frame.job_type, frame.payload))
-                    record(now() - t0, total - len(idle), len(inqueue))
+                    record(now() - t0, total - len(idle), len(types))
                 elif kind is task_kind:
                     reply = _call_handler(registry.boss_task, "boss task handler",
                                           frame.job_type, frame.payload, self)
                     send(src, Frame(MessageKind.TASK_RESPONSE, frame.job_type, reply))
                 elif kind is MessageKind.INFO_REQUEST:
                     snapshot = codec.encode(
-                        {"queued": len(inqueue), "idle": len(idle), "total": self.total_workers}
+                        {"queued": len(types), "idle": len(idle), "total": self.total_workers}
                     )
                     send(src, Frame(MessageKind.INFO_RESPONSE, 0, snapshot))
                 else:

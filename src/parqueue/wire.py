@@ -15,15 +15,16 @@ Two interchangeable backends implement the Endpoint contract: an
 in-process backend linking node threads, and a TCP backend speaking the
 frame grammar over sockets.  Each in-process node receives through one
 inbox that its peers feed directly; the TCP boss starts no thread and
-reads from the sockets that one selector reports ready.  Frames arrive
-in send order between any pair of nodes.  A lost peer surfaces as a
-TransportError naming the node and its reason (a TCP worker sends one
-in an ABORT frame), and once every peer is gone recv raises rather than
-blocks (there is no reconnection or failover).
+buffers what arrives on the sockets that one selector reports ready.
+Frames arrive in send order between any pair of nodes.  A lost peer
+surfaces as a TransportError naming the node and its reason (a TCP
+worker sends one in an ABORT frame), and once every peer is gone recv
+raises rather than blocks (there is no reconnection or failover).
 """
 
 from __future__ import annotations
 
+import io
 import selectors
 import socket
 import struct
@@ -32,7 +33,6 @@ from collections import defaultdict, deque
 from enum import IntEnum
 from queue import SimpleQueue
 from random import Random
-from types import SimpleNamespace
 from typing import BinaryIO, NamedTuple
 
 from .errors import (
@@ -99,23 +99,31 @@ def _read_exact(source: BinaryIO, count: int) -> bytes:
     return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
-def read_frame(source: BinaryIO) -> Frame:
-    """Consume exactly one frame from a byte source positioned at a
-    frame boundary."""
-    header = _read_exact(source, HEADER_SIZE)
-    magic, version, kind_code, job_type, length = HEADER.unpack(header)
+_KINDS = {int(kind): kind for kind in MessageKind}
+_ABORT = MessageKind.ABORT  # per frame, a global costs far less than an enum attribute
+
+
+def _parse_header(data) -> tuple[MessageKind, int, int]:
+    """Check the header data starts with; return kind, job type and length."""
+    magic, version, kind_code, job_type, length = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
     if version != VERSION:
         raise ProtocolError(f"unsupported frame version {version}")
-    if header[4] != 0:
+    if data[4] != 0:
         raise ProtocolError("reserved header byte must be zero")
-    try:
-        kind = MessageKind(kind_code)
-    except ValueError:
-        raise ProtocolError(f"unknown message kind code {kind_code}") from None
+    kind = _KINDS.get(kind_code)
+    if kind is None:
+        raise ProtocolError(f"unknown message kind code {kind_code}")
     if length > MAX_PAYLOAD:
         raise ProtocolError(f"frame payload of {length} bytes exceeds the maximum {MAX_PAYLOAD}")
+    return kind, job_type, length
+
+
+def read_frame(source: BinaryIO) -> Frame:
+    """Consume exactly one frame from a byte source positioned at a
+    frame boundary."""
+    kind, job_type, length = _parse_header(_read_exact(source, HEADER_SIZE))
     payload = _read_exact(source, length) if length else b""
     return Frame(kind, job_type, payload)
 
@@ -147,15 +155,11 @@ class Endpoint:
         raise NotImplementedError
 
 
-class _Closed(NamedTuple):
-    reason: str | None
-
-
 class InprocEndpoint(Endpoint):
-    """In-process node endpoint: peers put (src, Frame | _Closed) items
-    straight into its inbox.  With recv_rng set, recv moves what has
-    arrived into per-source deques and picks a non-empty one at random,
-    so tests can explore message interleavings."""
+    """In-process node endpoint: peers put (src, Frame) items straight
+    into its inbox, ending with an ABORT when they close.  With recv_rng
+    set, recv moves what has arrived into per-source deques and picks a
+    non-empty one at random, so tests can explore message interleavings."""
 
     def __init__(self, node_id: int, recv_rng: Random | None = None):
         self.node_id = node_id
@@ -187,9 +191,9 @@ class InprocEndpoint(Endpoint):
             src, item = self._inbox.get()
         else:
             raise TransportError("all peers disconnected")
-        if isinstance(item, _Closed):
+        if item.kind is _ABORT:
             self._open_peers -= 1
-            detail = f": {item.reason}" if item.reason else ""
+            detail = f": {item.payload.decode('utf-8', 'replace')}" if item.payload else ""
             raise TransportError(f"node {src} disconnected{detail}")
         return src, item
 
@@ -210,7 +214,7 @@ class InprocEndpoint(Endpoint):
             return
         self._closed = True
         for peer in self._peers.values():
-            peer._inbox.put((self.node_id, _Closed(reason)))
+            peer._inbox.put((self.node_id, Frame(_ABORT, 0, (reason or "").encode("utf-8", "replace"))))
 
 
 def inproc_cluster(workers: int, recv_rng: Random | None = None) -> list[Endpoint]:
@@ -250,11 +254,9 @@ class TcpBossEndpoint(Endpoint):
 
     Workers are numbered 1..N in connection order; each learns its id
     from a one-frame handshake (kind=INFO_RESPONSE, job_type=id).  recv
-    reads one frame from each connection the selector reports ready in
-    turn, through the socket's own recv: nothing is buffered in user
-    space, so a frame left in the kernel wakes the next select.  A
-    connection is open while it is registered.  A frame is read whole
-    once begun: a peer that sends part of one stalls every other peer.
+    reads once from each connection the selector reports ready into
+    that peer's buffer and returns the complete frames in arrival
+    order.  A connection is open while it is registered.
     """
 
     def __init__(self, listen: str, workers: int, timeout: float):
@@ -291,8 +293,8 @@ class TcpBossEndpoint(Endpoint):
             listener.close()
         self._selector = selectors.DefaultSelector()
         for node_id, conn in self._peers.items():
-            self._selector.register(conn, selectors.EVENT_READ, (node_id, SimpleNamespace(read=conn.recv)))
-        self._ready: deque[selectors.SelectorKey] = deque()
+            self._selector.register(conn, selectors.EVENT_READ, (node_id, bytearray()))
+        self._arrived: deque[tuple[int, Frame]] = deque()
 
     def send(self, dest: int, frame: Frame) -> None:
         conn = self._peers.get(dest)
@@ -306,21 +308,37 @@ class TcpBossEndpoint(Endpoint):
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
             raise TransportError("endpoint is closed")
-        while not self._ready:
+        while not self._arrived:
             if not self._selector.get_map():
                 raise TransportError("all peers disconnected")
-            self._ready.extend(key for key, _ in self._selector.select())
-        key = self._ready.popleft()
-        node_id, source = key.data
+            for key, _ in self._selector.select():
+                self._receive(key)
+        src, frame = self._arrived.popleft()
+        if frame.kind is _ABORT:
+            raise TransportError(f"node {src} disconnected: {frame.payload.decode('utf-8', 'replace')}")
+        return src, frame
+
+    def _receive(self, key: selectors.SelectorKey) -> None:
+        """Read once from a ready peer and queue each complete frame; on
+        a close or a fault, queue an ABORT naming it and drop the peer."""
+        node_id, buffer = key.data
         try:
-            frame = read_frame(source)
-            if frame.kind is not MessageKind.ABORT:
-                return node_id, frame
-            reason = frame.payload.decode("utf-8", "replace")
-        except (TruncationError, ProtocolError, OSError) as exc:
-            reason = str(exc)
-        self._selector.unregister(key.fileobj)
-        raise TransportError(f"node {node_id} disconnected: {reason}")
+            chunk = key.fileobj.recv(1 << 16)  # not _READ_CHUNK: glibc maps 1 MiB afresh per call
+            buffer += chunk
+            while len(buffer) >= HEADER_SIZE:
+                kind, job_type, length = _parse_header(buffer)
+                if len(buffer) < HEADER_SIZE + length:
+                    break  # a partial frame waits here, stalling no other peer
+                payload = bytes(buffer[HEADER_SIZE:HEADER_SIZE + length])
+                del buffer[:HEADER_SIZE + length]
+                if kind is _ABORT:
+                    raise TransportError(payload.decode("utf-8", "replace"))
+                self._arrived.append((node_id, Frame(kind, job_type, payload)))
+            if not chunk:  # what is left is part of a frame: read_frame says how much
+                read_frame(io.BytesIO(buffer))
+        except (TransportError, TruncationError, ProtocolError, OSError) as exc:
+            self._selector.unregister(key.fileobj)
+            self._arrived.append((node_id, Frame(_ABORT, 0, str(exc).encode("utf-8", "replace"))))
 
     def close(self, reason: str | None = None) -> None:
         self._closed = True

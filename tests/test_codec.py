@@ -146,3 +146,43 @@ def test_prefix_freedom_over_concatenated_stream():
         got, offset = decode_prefix(stream, offset)
         assert values_equal(got, expected)
     assert offset == len(stream)
+
+
+def _elementwise(items: list) -> bytes:
+    """A sequence spelled out one element at a time, as the grammar
+    defines it: the reference for the packed scalar path."""
+    parts = [encode(item) for item in items]
+    if len({part[0] for part in parts}) > 1:
+        raise EncodingError("sequence elements must all be the same kind")
+    return b"\x05" + len(items).to_bytes(4, "little") + b"".join(parts)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EncodingError as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_SEQUENCES = [
+    [], [0], [2**64 - 1], [2**64], [True, 1], [1, -1], [-1, -2], [1.0, 1],
+    [0.0, -0.0, float("nan")],
+]
+
+
+@pytest.mark.parametrize("items", [
+    *(pytest.param(items, id=repr(items)) for items in _EDGE_SEQUENCES),
+    *(pytest.param([7919 * i * 2**40 % 2**64 for i in range(n)], id=f"uints-{n}") for n in range(1, 41)),
+    *(pytest.param([i / 3 - 5.5 for i in range(n)], id=f"floats-{n}") for n in range(1, 41)),
+])
+def test_scalar_sequences_match_the_element_by_element_form(items):
+    expected = _outcome(_elementwise, items)
+    assert _outcome(encode, items) == expected
+    # nested, the sequence is written by the record path, not encode's
+    nested = _outcome(encode, {"s": items})
+    if isinstance(expected, bytes):
+        one_field_named_s = b"\x06" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + b"s"
+        assert nested == one_field_named_s + expected
+        assert encode(decode(expected)) == expected
+    else:
+        assert nested == expected

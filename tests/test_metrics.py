@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import pytest
 
@@ -133,3 +134,15 @@ def test_measure_queens_run_inproc():
     assert measurement.runtime_t > 0
     assert len(measurement.samples) > 0
     assert max(s.active_workers for s in measurement.samples) <= 2
+
+
+def test_load_log_sample_takes_16_bytes():
+    log = LoadLog()
+    tracemalloc.start()
+    try:
+        for i in range(100_000):
+            log.record(i * 1e-6, 1, i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_800_000  # 16 bytes a sample plus the arrays' spare room

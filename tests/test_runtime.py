@@ -1,13 +1,15 @@
 import threading
+import tracemalloc
 
 import pytest
 from support import RecordingEndpoint, record_boss
 
-from parqueue import codec
+from parqueue import codec, runtime
 from parqueue.errors import (
     ConfigurationError,
     LifecycleError,
     ParqueueError,
+    ProtocolError,
     TransportError,
 )
 from parqueue.runtime import (
@@ -20,7 +22,7 @@ from parqueue.runtime import (
     TcpWorkerConfig,
     start,
 )
-from parqueue.wire import MessageKind, pick_free_port
+from parqueue.wire import BOSS_ID, Frame, MessageKind, pick_free_port
 
 
 def test_job_type_must_be_positive():
@@ -234,6 +236,55 @@ def test_handler_exception_aborts_with_job_type_diagnostic(transport):
     assert str(excinfo.value) == (
         "node 1 disconnected: worker handler for job type 3 raised RuntimeError: kaboom"
     )
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_submit_of_job_type_zero_is_a_protocol_error(transport):
+    def handler(job, ctx):
+        # Job(0) cannot be built, so write the frame a faulty worker would send
+        ctx._endpoint.send(BOSS_ID, Frame(MessageKind.JOB_SUBMIT, 0, b""))
+
+    registry = HandlerRegistry(worker={1: handler})
+    if transport == "inproc":
+        boss, threads = start(InprocConfig(1), registry), []
+    else:
+        boss, threads = _start_tcp_with_worker_threads(1, registry)
+    with boss:
+        with pytest.raises(ProtocolError, match="^worker 1 submitted job type 0$"):
+            boss.run_jobs([Job(1)])
+        with pytest.raises(LifecycleError, match="aborted run"):
+            boss.run_jobs([])
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
+def test_queued_job_costs_the_boss_under_24_bytes():
+    jobs, measured = 20_000, {}
+
+    def spawn(job, ctx):
+        for _ in range(jobs):
+            ctx.submit(Job(2))
+        ctx.task(Job(3))  # answered once the boss has queued every submit before it
+        return b""
+
+    def measure(payload, boss):
+        # what runtime.py holds now that the worker waits with every job queued
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(True, runtime.__file__)])
+        measured["queued"] = boss.queued_jobs
+        measured["bytes"] = sum(stat.size for stat in held.statistics("filename"))
+
+    registry = HandlerRegistry(worker={1: spawn, 2: lambda job, ctx: None}, boss_task={3: measure})
+    with start(InprocConfig(1), registry) as boss:
+        tracemalloc.start()
+        try:
+            boss.run_jobs([Job(1)])
+        finally:
+            tracemalloc.stop()
+    assert measured["queued"] == jobs
+    assert measured["bytes"] / jobs < 24
 
 
 def test_handler_returning_non_bytes_aborts():

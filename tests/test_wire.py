@@ -1,6 +1,7 @@
 import io
 import socket
 import threading
+import time
 import tracemalloc
 from random import Random
 
@@ -456,8 +457,8 @@ def test_tcp_boss_keeps_per_peer_fifo_and_reports_close_reasons():
 
 
 def test_tcp_boss_allocates_only_arriving_bytes():
-    # the selector path reads through read_frame, so a header claiming
-    # 64 MiB followed by 10 bytes costs the boss no 64 MiB allocation
+    # the boss buffers only the bytes that arrive, so a header claiming
+    # 64 MiB followed by 10 bytes costs it no 64 MiB allocation
     boss, (worker,) = _tcp_pair()
     try:
         header = HEADER.pack(MAGIC, VERSION, int(MessageKind.DATA_SHARE), 1, 64 << 20)
@@ -484,3 +485,27 @@ def test_tcp_boss_starts_no_thread():
         boss.close()
         for w in workers:
             w.close()
+
+
+def test_tcp_boss_partial_frame_stalls_no_other_peer():
+    boss, (stalled, worker) = _tcp_pair(workers=2)
+    try:
+        frame = encode_frame(Frame(MessageKind.JOB_SUBMIT, 4, b"late"))
+        stalled._sock.sendall(frame[:7])
+        received = []
+        reader = threading.Thread(target=lambda: received.extend(boss.recv() for _ in range(2)),
+                                  daemon=True)
+        reader.start()
+        time.sleep(0.1)  # let the boss take in the 7 bytes before the other frames exist
+        worker.send(0, Frame(MessageKind.JOB_SUBMIT, 5, b"one"))
+        worker.send(0, Frame(MessageKind.JOB_SUBMIT, 5, b"two"))
+        reader.join(5)
+        assert not reader.is_alive(), "a partial frame from node 1 stalled node 2"
+        assert received == [(2, Frame(MessageKind.JOB_SUBMIT, 5, b"one")),
+                            (2, Frame(MessageKind.JOB_SUBMIT, 5, b"two"))]
+        stalled._sock.sendall(frame[7:])
+        assert _recv_outcome(boss) == (1, Frame(MessageKind.JOB_SUBMIT, 4, b"late"))
+    finally:
+        boss.close()
+        stalled.close()
+        worker.close()
