@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import random
 import sys
 
@@ -108,6 +109,8 @@ def parse_args(argv) -> argparse.Namespace:
     cfg = parser.parse_args(argv)
     if cfg.command in _APPS and cfg.listen is None and cfg.workers < 1:
         parser.subcommands[cfg.command].error("--workers must be at least 1 without --listen")
+    if not 0 < getattr(cfg, "timeout", 1.0) < math.inf:
+        parser.subcommands[cfg.command].error(f"--timeout must be finite and above zero, got {cfg.timeout}")
     return cfg
 
 

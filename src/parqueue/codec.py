@@ -12,6 +12,8 @@ grammar.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from functools import lru_cache
 
 from .errors import EncodingError, MalformedPayloadError, TruncationError
@@ -28,6 +30,7 @@ TAG_RECORD = 0x06
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
 _I64_MIN = -(2**63)
+_CACHED_MAX = 64  # longer scalar sequences decode without a cached Struct
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -224,12 +227,21 @@ def _read_seq(data: bytes, offset: int):
     _need(data, offset, n)  # every element occupies at least one byte
     elem_tag = data[offset]
     if elem_tag == TAG_UINT or elem_tag == TAG_FLOAT:
-        # bulk path mirroring _pack_scalars; the struct starts at the sequence tag
         _need(data, offset, 9 * n)
-        flat = _scalar_seq(elem_tag, n).unpack_from(data, offset - 5)
-        if flat[2::2].count(elem_tag) != n:
+        if n <= _CACHED_MAX:  # bulk path mirroring _pack_scalars; the struct starts at the sequence tag
+            flat = _scalar_seq(elem_tag, n).unpack_from(data, offset - 5)
+            tags, items = flat[2::2], list(flat[3::2])
+        else:  # a Struct holds 64 bytes per element: strip the tags from a copy instead
+            raw = bytearray(memoryview(data)[offset:offset + 9 * n])
+            tags = raw[::9]
+            del raw[::9]
+            values = array("Q" if elem_tag == TAG_UINT else "d", raw)
+            if sys.byteorder == "big":
+                values.byteswap()
+            items = values.tolist()
+        if tags.count(elem_tag) != n:
             raise MalformedPayloadError("sequence elements must all be the same kind")
-        return list(flat[3::2]), offset + 9 * n
+        return items, offset + 9 * n
     items = []
     for _ in range(n):
         _need(data, offset, 1)

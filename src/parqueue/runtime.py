@@ -17,11 +17,11 @@ queue, ask the boss to run a task immediately, or query queue state.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from random import Random
 from typing import Callable, Iterable
 
 from . import codec
@@ -47,14 +47,14 @@ from .wire import (
 
 @dataclass(frozen=True, slots=True)
 class Job:
-    """A typed unit of work: positive type tag plus opaque payload."""
+    """A typed unit of work: a 32-bit type tag above 0 plus opaque payload."""
 
     job_type: int
     data: bytes = b""
 
     def __post_init__(self):
-        if not isinstance(self.job_type, int) or self.job_type < 1:
-            raise ValueError(f"job type must be a positive integer, got {self.job_type!r}")
+        if not isinstance(self.job_type, int) or not 0 < self.job_type <= 0xFFFFFFFF:
+            raise ValueError(f"job type must be an integer from 1 to 4294967295, got {self.job_type!r}")
         if not isinstance(self.data, bytes):
             raise ValueError("job data must be bytes")
 
@@ -85,12 +85,9 @@ class HandlerRegistry:
 
 @dataclass
 class InprocConfig:
-    """All nodes in one process; workers are threads.  recv_rng seeds
-    the boss's choice among ready channels, letting tests explore
-    message interleavings."""
+    """All nodes in one process; workers are threads."""
 
     workers: int
-    recv_rng: Random | None = None
 
 
 @dataclass
@@ -208,7 +205,7 @@ def _worker_loop(endpoint: Endpoint, registry: HandlerRegistry) -> None:
 
 def _worker_thread_main(endpoint: Endpoint, registry: HandlerRegistry) -> None:
     # in-process workers exit quietly on cluster errors: the boss already
-    # received the failure reason through the endpoint close sentinel
+    # received the failure reason in the ABORT frame the endpoint's close sent
     try:
         _worker_loop(endpoint, registry)
     except ParqueueError:
@@ -380,7 +377,7 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
     the worker loop instead and returns None once the boss says stop.
     """
     if isinstance(config, InprocConfig):
-        endpoints = inproc_cluster(config.workers, config.recv_rng)
+        endpoints = inproc_cluster(config.workers)
         threads = []
         for endpoint in endpoints[1:]:
             thread = threading.Thread(
@@ -392,6 +389,8 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
             thread.start()
             threads.append(thread)
         return Boss(endpoints[0], config.workers, registry, threads)
+    if not 0 < getattr(config, "timeout", 1) < math.inf:
+        raise ValueError(f"timeout must be a finite number of seconds above zero, got {config.timeout!r}")
     if isinstance(config, TcpBossConfig):
         endpoint = TcpBossEndpoint(config.listen, config.workers, config.timeout)
         return Boss(endpoint, config.workers, registry)

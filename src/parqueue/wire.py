@@ -29,10 +29,9 @@ import selectors
 import socket
 import struct
 import time
-from collections import defaultdict, deque
+from collections import deque
 from enum import IntEnum
 from queue import SimpleQueue
-from random import Random
 from typing import BinaryIO, NamedTuple
 
 from .errors import (
@@ -157,17 +156,13 @@ class Endpoint:
 
 class InprocEndpoint(Endpoint):
     """In-process node endpoint: peers put (src, Frame) items straight
-    into its inbox, ending with an ABORT when they close.  With recv_rng
-    set, recv moves what has arrived into per-source deques and picks a
-    non-empty one at random, so tests can explore message interleavings."""
+    into its inbox, ending with an ABORT when they close."""
 
-    def __init__(self, node_id: int, recv_rng: Random | None = None):
+    def __init__(self, node_id: int):
         self.node_id = node_id
         self._inbox: SimpleQueue = SimpleQueue()
         self._peers: dict[int, InprocEndpoint] = {}
         self._open_peers = 0
-        self._rng = recv_rng
-        self._channels: defaultdict[int, deque] = defaultdict(deque)
         self._closed = False
 
     def _connect(self, peer: InprocEndpoint) -> None:
@@ -185,29 +180,14 @@ class InprocEndpoint(Endpoint):
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
             raise TransportError("endpoint is closed")
-        if self._rng is not None:
-            src, item = self._pick()
-        elif self._open_peers:
-            src, item = self._inbox.get()
-        else:
+        if not self._open_peers:
             raise TransportError("all peers disconnected")
+        src, item = self._inbox.get()
         if item.kind is _ABORT:
             self._open_peers -= 1
             detail = f": {item.payload.decode('utf-8', 'replace')}" if item.payload else ""
             raise TransportError(f"node {src} disconnected{detail}")
         return src, item
-
-    def _pick(self) -> tuple:
-        channels, inbox = self._channels, self._inbox
-        while True:
-            ready = sorted(src for src, items in channels.items() if items)
-            if ready and inbox.empty():
-                src = ready[self._rng.randrange(len(ready))]
-                return src, channels[src].popleft()
-            if not ready and not self._open_peers:
-                raise TransportError("all peers disconnected")
-            src, item = inbox.get()
-            channels[src].append(item)
 
     def close(self, reason: str | None = None) -> None:
         if self._closed:
@@ -217,15 +197,12 @@ class InprocEndpoint(Endpoint):
             peer._inbox.put((self.node_id, Frame(_ABORT, 0, (reason or "").encode("utf-8", "replace"))))
 
 
-def inproc_cluster(workers: int, recv_rng: Random | None = None) -> list[Endpoint]:
-    """Build boss + worker endpoints wired together; index 0 is the boss.
-
-    recv_rng, when given, seeds the boss's choice among ready channels
-    (workers have a single channel, so only the boss choice matters).
-    """
+# the second parameter is unused: perfbench/tracer.py still passes its recv_rng
+def inproc_cluster(workers: int, _unused=None) -> list[Endpoint]:
+    """Build boss + worker endpoints wired together; index 0 is the boss."""
     if workers < 0:
         raise ValueError("worker count must not be negative")
-    boss = InprocEndpoint(BOSS_ID, recv_rng)
+    boss = InprocEndpoint(BOSS_ID)
     endpoints: list[Endpoint] = [boss]
     for node_id in range(1, workers + 1):
         worker = InprocEndpoint(node_id)

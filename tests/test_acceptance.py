@@ -8,6 +8,7 @@ from math import prod
 from random import Random
 
 import pytest
+import sim
 from oracles import is_prime_trial, serial_queens_count, trial_division_factors
 from support import random_value, record_boss, values_equal
 from test_protocol_props import expand_serially, run_graph
@@ -91,10 +92,11 @@ def test_c4_protocol_properties_randomized():
         for seed in range(25):
             expected_ids, expected_leaves = expand_serially(seed, depth=3)
             for workers in (1, 2, 4, 8):
-                invoked, results = run_graph(seed, 3, workers, 7000 * seed + workers)
+                schedule = sim.Random(7000 * seed + workers)
+                invoked, results = run_graph(seed, 3, workers, schedule)
                 seeds_used += 1
-                assert invoked == expected_ids      # exactly-once, termination
-                assert results == expected_leaves   # invariance, empty filtering
+                assert invoked == expected_ids, schedule      # exactly-once, termination
+                assert results == expected_leaves, schedule   # invariance, empty filtering
         assert seeds_used >= 100
 
 

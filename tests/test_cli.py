@@ -47,6 +47,18 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["worker", "factor", "--connect", "127.0.0.1:1"],
+    ["factor", "--n", "6", "--listen", "127.0.0.1:0", "--workers", "1"],
+], ids=["worker", "listening-boss"])
+def test_timeout_must_be_finite_and_above_zero(capsys, argv, timeout):
+    code, _, err = run_cli(capsys, *argv, "--timeout", timeout)
+    assert code == 2
+    assert err.startswith(f"usage: parqueue {argv[0]} ")
+    assert f"--timeout must be finite and above zero, got {float(timeout)}" in err
+
+
 def test_cross_option_error_shows_the_subcommand_usage(capsys):
     code, _, err = run_cli(capsys, "factor", "--n", "6", "--workers", "0")
     assert code == 2

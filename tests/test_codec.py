@@ -1,10 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from random import Random
 
 import pytest
 from support import random_value, values_equal
 
-from parqueue.codec import decode, decode_prefix, encode
+import parqueue
+from parqueue.codec import TAG_FLOAT, TAG_UINT, decode, decode_prefix, encode
 from parqueue.errors import EncodingError, MalformedPayloadError, TruncationError
 
 
@@ -164,6 +169,7 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+_LENGTHS = [*range(1, 41), 63, 64, 65, 500, 100_000]
 _EDGE_SEQUENCES = [
     [], [0], [2**64 - 1], [2**64], [True, 1], [1, -1], [-1, -2], [1.0, 1],
     [0.0, -0.0, float("nan")],
@@ -172,8 +178,8 @@ _EDGE_SEQUENCES = [
 
 @pytest.mark.parametrize("items", [
     *(pytest.param(items, id=repr(items)) for items in _EDGE_SEQUENCES),
-    *(pytest.param([7919 * i * 2**40 % 2**64 for i in range(n)], id=f"uints-{n}") for n in range(1, 41)),
-    *(pytest.param([i / 3 - 5.5 for i in range(n)], id=f"floats-{n}") for n in range(1, 41)),
+    *(pytest.param([7919 * i * 2**40 % 2**64 for i in range(n)], id=f"uints-{n}") for n in _LENGTHS),
+    *(pytest.param([i / 3 - 5.5 for i in range(n)], id=f"floats-{n}") for n in _LENGTHS),
 ])
 def test_scalar_sequences_match_the_element_by_element_form(items):
     expected = _outcome(_elementwise, items)
@@ -183,6 +189,49 @@ def test_scalar_sequences_match_the_element_by_element_form(items):
     if isinstance(expected, bytes):
         one_field_named_s = b"\x06" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + b"s"
         assert nested == one_field_named_s + expected
+        assert values_equal(decode(expected), items)
         assert encode(decode(expected)) == expected
     else:
         assert nested == expected
+
+
+@pytest.mark.parametrize("n, at", [(64, 63), (65, 64), (100, 70), (100_000, 70)])
+@pytest.mark.parametrize("value", [2**63 + 1, 0.5], ids=["uints", "floats"])
+def test_a_wrong_element_tag_is_rejected(value, n, at):
+    good = encode([value] * n)
+    bad = bytearray(good)
+    bad[5 + 9 * at] ^= TAG_UINT ^ TAG_FLOAT  # the other scalar tag
+    with pytest.raises(MalformedPayloadError, match="same kind"):
+        decode(bytes(bad))
+    assert decode(good) == [value] * n
+
+
+def test_long_sequence_decode_keeps_no_memory_sized_by_the_payload(tmp_path):
+    # a peer-built frame of 1,000,000 floats (9 MB): decode used to cache a
+    # struct.Struct for its length, 64 bytes per element, after the value was gone
+    script = tmp_path / "rss.py"
+    script.write_text(textwrap.dedent('''
+        import gc, os, struct
+        from parqueue.codec import decode
+
+        def rss():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        n = 1_000_000
+        pack = struct.Struct("<Bd").pack
+        payload = b"\\x05" + n.to_bytes(4, "little") + b"".join([pack(3, i / 7) for i in range(n)])
+        gc.collect()
+        before = rss()
+        value = decode(payload)
+        assert len(value) == n and value[7] == 1.0
+        del value
+        gc.collect()
+        print(rss() - before)
+    '''))
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parqueue.__file__))}
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 8 * 2**20  # under the payload's own 9 MB

@@ -1,16 +1,19 @@
-"""Randomized protocol properties over the in-process backend.
+"""Randomized protocol properties over the simulated cluster.
 
 A deterministic pseudo-random job graph unfolds through worker
-submissions; the boss's receive interleaving is randomized with a
-seeded generator.  Whatever the schedule: every job runs exactly once,
-supervision terminates, the result multiset matches the serial
-expansion of the same graph, and empty results never surface.
+submissions; the order in which frames reach each node is picked by a
+seeded chooser (see sim.py), so every schedule replays.  Whatever the
+schedule: every job runs exactly once, supervision terminates, the
+result multiset matches the serial expansion of the same graph, and
+empty results never surface.
 """
 
 from random import Random
 
+import sim
+
 from parqueue import codec
-from parqueue.runtime import HandlerRegistry, InprocConfig, Job, start
+from parqueue.runtime import HandlerRegistry, Job
 
 WORK = 1
 MAX_CHILDREN = 3
@@ -45,7 +48,7 @@ def payload(node_id: int, depth: int, seed: int) -> bytes:
     return codec.encode([node_id, depth, seed])
 
 
-def run_graph(seed: int, depth: int, workers: int, interleave_seed: int):
+def run_graph(seed: int, depth: int, workers: int, schedule: sim.Chooser):
     invoked = []
 
     def handler(job, ctx):
@@ -57,9 +60,8 @@ def run_graph(seed: int, depth: int, workers: int, interleave_seed: int):
         return b"" if kids else codec.encode(node_id)
 
     registry = HandlerRegistry(worker={WORK: handler})
-    config = InprocConfig(workers, recv_rng=Random(interleave_seed))
-    with start(config, registry) as boss:
-        out = boss.run_jobs([Job(WORK, payload(1, depth, seed))])
+    out = sim.run(workers, registry, schedule,
+                  lambda boss: boss.run_jobs([Job(WORK, payload(1, depth, seed))]))
     results = sorted(codec.decode(job.data) for job in out)
     return sorted(invoked), results
 
@@ -72,11 +74,12 @@ def test_exactly_once_termination_and_result_invariance():
         checked_graphs += 1
         for workers in (1, 2, 4, 8):
             interleavings += 1
-            invoked, results = run_graph(seed, 3, workers, 1000 * seed + workers)
+            schedule = sim.Random(1000 * seed + workers)
+            invoked, results = run_graph(seed, 3, workers, schedule)
             # exactly-once: each job id invoked a single time
-            assert invoked == expected_ids
+            assert invoked == expected_ids, schedule
             # empty results filtered: only leaves surface, each exactly once
-            assert results == expected_leaves
+            assert results == expected_leaves, schedule
     assert checked_graphs == 25
     assert interleavings == 100
 
@@ -85,9 +88,10 @@ def test_exactly_once_up_to_sixteen_workers():
     for seed in (3, 11):
         expected_ids, expected_leaves = expand_serially(seed, depth=4)
         for workers in (12, 16):
-            invoked, results = run_graph(seed, 4, workers, seed * 31 + workers)
-            assert invoked == expected_ids
-            assert results == expected_leaves
+            schedule = sim.Random(seed * 31 + workers)
+            invoked, results = run_graph(seed, 4, workers, schedule)
+            assert invoked == expected_ids, schedule
+            assert results == expected_leaves, schedule
 
 
 def test_deep_self_submitting_chain_terminates():
@@ -100,8 +104,7 @@ def test_deep_self_submitting_chain_terminates():
         return codec.encode(0)
 
     registry = HandlerRegistry(worker={WORK: handler})
-    with start(InprocConfig(3, recv_rng=Random(99)), registry) as boss:
-        out = boss.run_jobs([Job(WORK, codec.encode(200))])
+    out = sim.run(3, registry, sim.Random(99), lambda boss: boss.run_jobs([Job(WORK, codec.encode(200))]))
     assert [codec.decode(j.data) for j in out] == [0]
 
 
@@ -115,6 +118,5 @@ def test_wide_fanout_single_level():
         return job.data
 
     registry = HandlerRegistry(worker={WORK: handler})
-    with start(InprocConfig(4, recv_rng=Random(5)), registry) as boss:
-        out = boss.run_jobs([Job(WORK, codec.encode(0))])
+    out = sim.run(4, registry, sim.Random(5), lambda boss: boss.run_jobs([Job(WORK, codec.encode(0))]))
     assert sorted(codec.decode(j.data) for j in out) == list(range(1, 501))

@@ -1,7 +1,7 @@
 import os
-from random import Random
 
 import pytest
+import sim
 from oracles import serial_queens_count
 from support import record_boss
 
@@ -69,8 +69,9 @@ def test_count_independent_of_overflow_and_workers():
             for workers in (1, 3):
                 assert queens_count(size, overflow, workers) == expected
             for seed in (5, 6, 7):  # seeded arrival orders
-                solutions, _ = run_traced(InprocConfig(3, Random(seed)), size, overflow)
-                assert solutions == expected
+                app, schedule = Queens(), sim.Random(seed)
+                solutions = sim.run(3, app.registry(), schedule, lambda boss: app.run(boss, size, overflow))
+                assert solutions == expected, schedule
 
 
 def test_job_graph_frames_match_on_both_transports():

@@ -1,3 +1,4 @@
+import socket
 import threading
 import tracemalloc
 
@@ -30,6 +31,9 @@ def test_job_type_must_be_positive():
         Job(0)
     with pytest.raises(ValueError):
         Job(-3)
+    with pytest.raises(ValueError, match="from 1 to 4294967295, got 4294967296"):
+        Job(2**32)  # the frame's job type field is 32 bits
+    assert Job(2**32 - 1).job_type == 0xFFFFFFFF
     with pytest.raises(ValueError):
         Job(1, "not bytes")
     assert Job(1).data == b""
@@ -156,8 +160,8 @@ def test_share_data_runs_every_worker_and_waits_for_acks():
         assert [j.data for j in out] == [b"second"] * 6
 
 
-@pytest.mark.parametrize("job_type, data", [(1.5, b""), ("1", b""), (0, b""), (1, "text")],
-                         ids=["float-type", "str-type", "zero-type", "str-data"])
+@pytest.mark.parametrize("job_type, data", [(1.5, b""), ("1", b""), (0, b""), (2**32, b""), (1, "text")],
+                         ids=["float-type", "str-type", "zero-type", "33-bit-type", "str-data"])
 def test_share_data_rejects_bad_arguments_before_sending(job_type, data):
     shared = []
     registry = HandlerRegistry(worker={1: lambda job, ctx: shared.append(job.data)})
@@ -257,6 +261,43 @@ def test_submit_of_job_type_zero_is_a_protocol_error(transport):
     for t in threads:
         t.join(timeout=10)
         assert not t.is_alive()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_submit_of_a_33_bit_job_type_fails_alike_on_both_transports(transport):
+    def handler(job, ctx):
+        ctx.submit(Job(2**32))
+
+    registry = HandlerRegistry(worker={1: handler})
+    if transport == "inproc":
+        boss, threads = start(InprocConfig(1), registry), []
+    else:
+        boss, threads = _start_tcp_with_worker_threads(1, registry)
+    with boss:
+        with pytest.raises(TransportError) as excinfo:
+            boss.run_jobs([Job(1)])
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert str(excinfo.value) == (
+        "node 1 disconnected: worker handler for job type 1 raised ValueError: "
+        "job type must be an integer from 1 to 4294967295, got 4294967296"
+    )
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("config", [
+    lambda timeout: TcpBossConfig("127.0.0.1:0", 1, timeout),
+    lambda timeout: TcpWorkerConfig("127.0.0.1:1", timeout),
+], ids=["boss", "worker"])
+def test_tcp_timeout_must_be_finite_and_above_zero(monkeypatch, config, timeout):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    with pytest.raises(ValueError, match=f"^timeout must be a finite number of seconds above zero, got {timeout}$"):
+        start(config(timeout), HandlerRegistry())
 
 
 def test_queued_job_costs_the_boss_under_24_bytes():

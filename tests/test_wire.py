@@ -185,19 +185,6 @@ def test_closed_peer_detected():
         boss.send(1, Frame(MessageKind.STOP))
 
 
-def test_seeded_recv_interleaving_is_reproducible():
-    def run(seed):
-        boss, w1, w2 = inproc_cluster(2, recv_rng=Random(seed))
-        for seq in range(20):
-            w1.send(0, Frame(MessageKind.JOB_SUBMIT, 1, codec.encode(seq)))
-            w2.send(0, Frame(MessageKind.JOB_SUBMIT, 2, codec.encode(seq)))
-        order = [boss.recv()[0] for _ in range(40)]
-        return order
-
-    assert run(7) == run(7)
-    assert run(7) != run(8)  # different seeds explore different interleavings
-
-
 def _tcp_pair(workers=1, timeout=5.0):
     port = pick_free_port()
     addr = f"127.0.0.1:{port}"
@@ -384,8 +371,8 @@ def test_tcp_boss_recv_after_every_peer_closed_does_not_hang():
 
 def test_seeded_recv_keeps_per_channel_fifo_and_reports_close_reasons():
     per_worker = 50
-    for seed in range(5):
-        boss, w1, w2 = inproc_cluster(2, recv_rng=Random(seed))
+    for _ in range(5):
+        boss, w1, w2 = inproc_cluster(2)
 
         def flood(endpoint):
             for seq in range(per_worker):
