@@ -19,16 +19,17 @@ Matrix = list[list[float]]
 
 
 def multiply_row(matrix: Matrix, i: int) -> list[float]:
-    """Row i of matrix @ matrix."""
-    d = len(matrix)
-    out = [0.0] * d
-    row = matrix[i]
-    for k in range(d):
-        a = row[k]
-        if a:
-            other = matrix[k]
-            for j in range(d):
-                out[j] += a * other[j]
+    """Row i of matrix @ matrix.  Each entry adds a * matrix[k][j] for
+    the nonzero a = matrix[i][k] in k order, four rows k per pass; `+`
+    folds left to right, so the sums are those of the plain k loop."""
+    terms = [(a, matrix[k]) for k, a in enumerate(matrix[i]) if a]
+    out = [0.0] * len(matrix)
+    tail = len(terms) - len(terms) % 4
+    for t in range(0, tail, 4):
+        (a, p), (b, q), (c, r), (e, s) = terms[t:t + 4]
+        out = [o + a * w + b * x + c * y + e * z for o, w, x, y, z in zip(out, p, q, r, s)]
+    for a, p in terms[tail:]:
+        out = [o + a * w for o, w in zip(out, p)]
     return out
 
 

@@ -30,7 +30,7 @@ TAG_RECORD = 0x06
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
 _I64_MIN = -(2**63)
-_CACHED_MAX = 64  # longer scalar sequences decode without a cached Struct
+_CACHED_MAX = 64  # longer scalar sequences are packed and read without a cached Struct
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -70,7 +70,7 @@ def encode(value: Value) -> bytes:
     return bytes(out)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)  # called only for n <= _CACHED_MAX: at most 130 entries
 def _scalar_seq(elem_tag: int, n: int) -> struct.Struct:
     """Packs a whole sequence of n uints or n floats, header included."""
     return struct.Struct("<BI" + ("BQ" if elem_tag == TAG_UINT else "Bd") * n)
@@ -78,7 +78,8 @@ def _scalar_seq(elem_tag: int, n: int) -> struct.Struct:
 
 def _pack_scalars(items: list) -> bytes | None:
     """A list of plain ints >= 0 or plain floats, encoded in one struct
-    call; None for any other list, for _write_seq to handle."""
+    call (or, when long, one array copy); None for any other list, for
+    _write_seq to handle."""
     kind = type(items[0]) if items else int  # [] packs as an empty uint sequence
     if kind is not int and kind is not float:
         return None
@@ -86,6 +87,21 @@ def _pack_scalars(items: list) -> bytes | None:
         if type(item) is not kind:  # bools, subclasses and mixed kinds
             return None
     tag, n = (TAG_UINT if kind is int else TAG_FLOAT), len(items)
+    if n > _CACHED_MAX:  # pack the values alone, then interleave the tags: _read_seq's strip reversed
+        try:
+            values = array("Q" if kind is int else "d", items)
+        except OverflowError:  # a negative or over-64-bit int
+            return None
+        if sys.byteorder == "big":
+            values.byteswap()
+        raw = values.tobytes()
+        out = bytearray(5 + 9 * n)
+        out[0] = TAG_SEQ
+        out[1:5] = _U32.pack(n)
+        out[5::9] = bytes([tag]) * n
+        for b in range(8):
+            out[6 + b::9] = raw[b::8]
+        return bytes(out)
     flat = [tag] * (2 * n)
     flat[1::2] = items
     try:

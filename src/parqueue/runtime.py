@@ -227,7 +227,7 @@ class Boss:
         self._payloads: deque[bytes] = deque()
         self._supervising = False
         self._stopped = False
-        self._aborted = False
+        self._abort_reason: str | None = None  # set once a run fails
         self._threads = list(worker_threads)
 
     @property
@@ -247,7 +247,7 @@ class Boss:
             raise LifecycleError(f"{op} called after stop")
         if self._supervising:
             raise LifecycleError(f"{op} called while supervision is in progress")
-        if self._aborted and not allow_aborted:
+        if self._abort_reason is not None and not allow_aborted:
             raise LifecycleError(f"{op} called after an aborted run")
 
     def run_jobs(self, jobs: Iterable[Job] = ()) -> deque[Job]:
@@ -313,8 +313,8 @@ class Boss:
                     send(src, Frame(MessageKind.INFO_RESPONSE, 0, snapshot))
                 else:
                     raise ProtocolError(f"boss received unexpected {kind.name} during supervision")
-        except ParqueueError:
-            self._aborted = True
+        except ParqueueError as exc:
+            self._abort_reason = str(exc) or type(exc).__name__
             raise
         finally:
             self._supervising = False
@@ -336,21 +336,22 @@ class Boss:
                     raise ProtocolError(
                         f"expected an empty data-share acknowledgment, got {frame.kind.name}"
                     )
-        except ParqueueError:
-            self._aborted = True
+        except ParqueueError as exc:
+            self._abort_reason = str(exc) or type(exc).__name__
             raise
 
     def stop(self) -> None:
         """Broadcast stop, wait for workers to wind down, close the
         endpoint.  A second stop is a lifecycle error.  After an aborted
-        run the cluster is already dead, so stop just tears down."""
+        run the cluster is already dead, so stop just tears down, telling
+        the workers the error that ended the run."""
         self._require_open("stop", allow_aborted=True)
         self._stopped = True
         try:
-            if not self._aborted:
+            if self._abort_reason is None:
                 self.endpoint.broadcast(Frame(MessageKind.STOP))
         finally:
-            self.endpoint.close()
+            self.endpoint.close(self._abort_reason)
             for thread in self._threads:
                 thread.join(timeout=10)
 

@@ -17,8 +17,8 @@ frame grammar over sockets.  Each in-process node receives through one
 inbox that its peers feed directly; the TCP boss starts no thread and
 buffers what arrives on the sockets that one selector reports ready.
 Frames arrive in send order between any pair of nodes.  A lost peer
-surfaces as a TransportError naming the node and its reason (a TCP
-worker sends one in an ABORT frame), and once every peer is gone recv
+surfaces as a TransportError naming the node and its reason (over TCP
+it travels in an ABORT frame, either way), and once every peer is gone recv
 raises rather than blocks (there is no reconnection or failover).
 """
 
@@ -320,8 +320,11 @@ class TcpBossEndpoint(Endpoint):
     def close(self, reason: str | None = None) -> None:
         self._closed = True
         self._selector.close()
+        abort = encode_frame(Frame(_ABORT, 0, reason.encode("utf-8", "replace"))) if reason else b""
         for conn in self._peers.values():
             try:
+                if abort:  # tell the worker why; MSG_DONTWAIT: a full socket cannot block the close
+                    conn.send(abort, socket.MSG_DONTWAIT)
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
@@ -366,9 +369,12 @@ class TcpWorkerEndpoint(Endpoint):
 
     def recv(self) -> tuple[int, Frame]:
         try:
-            return BOSS_ID, read_frame(self._source)
+            frame = read_frame(self._source)
         except (TruncationError, OSError) as exc:
             raise TransportError(f"boss disconnected: {exc}") from exc
+        if frame.kind is _ABORT:  # the text an inproc worker reads
+            raise TransportError(f"node {BOSS_ID} disconnected: {frame.payload.decode('utf-8', 'replace')}")
+        return BOSS_ID, frame
 
     def close(self, reason: str | None = None) -> None:
         try:

@@ -2,8 +2,8 @@
 
 These deliberately avoid the production code paths: the queens oracle
 is a plain serial backtracking loop with its own conflict check, the
-factorization oracle is ascending trial division, and the matrix oracle
-is the direct triple loop.
+factorization oracle is ascending trial division, and the matrix oracles
+are the direct triple loop and the plain k-order row loop.
 """
 
 from functools import lru_cache
@@ -68,4 +68,19 @@ def matmul_direct(a: list[list[float]], b: list[list[float]]) -> list[list[float
             for k in range(d):
                 acc += a[i][k] * b[k][j]
             out[i][j] = acc
+    return out
+
+
+def square_row_k_order(matrix: list[list[float]], i: int) -> list[float]:
+    """Row i of matrix @ matrix, one entry at a time: out[j] += a * matrix[k][j]
+    for each nonzero a = matrix[i][k], k ascending."""
+    d = len(matrix)
+    out = [0.0] * d
+    row = matrix[i]
+    for k in range(d):
+        a = row[k]
+        if a:
+            other = matrix[k]
+            for j in range(d):
+                out[j] += a * other[j]
     return out

@@ -174,10 +174,20 @@ _EDGE_SEQUENCES = [
     [], [0], [2**64 - 1], [2**64], [True, 1], [1, -1], [-1, -2], [1.0, 1],
     [0.0, -0.0, float("nan")],
 ]
+# longer than codec._CACHED_MAX, so these take the uncached path
+_LONG_EDGE_SEQUENCES = {
+    "one-negative": [*range(99), -1],
+    "one-2**64": [*range(99), 2**64],
+    "all-negative": [-i - 1 for i in range(100)],
+    "one-bool": [*range(99), True],
+    "one-bool-in-floats": [*(i / 3 for i in range(99)), True],
+    "float-specials": [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324] * 20,
+}
 
 
 @pytest.mark.parametrize("items", [
     *(pytest.param(items, id=repr(items)) for items in _EDGE_SEQUENCES),
+    *(pytest.param(items, id=name) for name, items in _LONG_EDGE_SEQUENCES.items()),
     *(pytest.param([7919 * i * 2**40 % 2**64 for i in range(n)], id=f"uints-{n}") for n in _LENGTHS),
     *(pytest.param([i / 3 - 5.5 for i in range(n)], id=f"floats-{n}") for n in _LENGTHS),
 ])
@@ -206,18 +216,47 @@ def test_a_wrong_element_tag_is_rejected(value, n, at):
     assert decode(good) == [value] * n
 
 
-def test_long_sequence_decode_keeps_no_memory_sized_by_the_payload(tmp_path):
-    # a peer-built frame of 1,000,000 floats (9 MB): decode used to cache a
-    # struct.Struct for its length, 64 bytes per element, after the value was gone
+def _rss_growth(tmp_path, body: str) -> int:
+    """Run body in a fresh interpreter, which calls rss() around its
+    work and prints the growth; return that number of bytes."""
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm")
     script = tmp_path / "rss.py"
     script.write_text(textwrap.dedent('''
         import gc, os, struct
-        from parqueue.codec import decode
+        from parqueue.codec import decode, encode
 
         def rss():
             with open("/proc/self/statm") as f:
                 return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    ''') + textwrap.dedent(body))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parqueue.__file__))}
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout)
 
+
+def test_long_sequence_encode_keeps_no_memory_sized_by_the_value(tmp_path):
+    # encode used to cache a struct.Struct for the list's length, 64 bytes
+    # per element, after the bytes were gone: +71 MB for 1,000,000 floats
+    growth = _rss_growth(tmp_path, '''
+        n = 1_000_000
+        value = [i / 7 for i in range(n)]
+        gc.collect()
+        before = rss()
+        data = encode(value)
+        assert len(data) == 5 + 9 * n and data[5] == 3
+        del data
+        gc.collect()
+        print(rss() - before)
+    ''')
+    assert growth < 8 * 2**20  # under the encoding's own 9 MB
+
+
+def test_long_sequence_decode_keeps_no_memory_sized_by_the_payload(tmp_path):
+    # a peer-built frame of 1,000,000 floats (9 MB): decode used to cache a
+    # struct.Struct for its length, 64 bytes per element, after the value was gone
+    growth = _rss_growth(tmp_path, '''
         n = 1_000_000
         pack = struct.Struct("<Bd").pack
         payload = b"\\x05" + n.to_bytes(4, "little") + b"".join([pack(3, i / 7) for i in range(n)])
@@ -228,10 +267,5 @@ def test_long_sequence_decode_keeps_no_memory_sized_by_the_payload(tmp_path):
         del value
         gc.collect()
         print(rss() - before)
-    '''))
-    if not os.path.exists("/proc/self/statm"):
-        pytest.skip("needs /proc/self/statm")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(parqueue.__file__))}
-    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert int(out.stdout) < 8 * 2**20  # under the payload's own 9 MB
+    ''')
+    assert growth < 8 * 2**20  # under the payload's own 9 MB

@@ -1,7 +1,8 @@
+import struct
 from random import Random
 
 import pytest
-from oracles import matmul_direct
+from oracles import matmul_direct, square_row_k_order
 
 from parqueue.apps.matsquare import MatrixSquare, matsquare, multiply_row
 from parqueue.runtime import InprocConfig, start
@@ -11,6 +12,34 @@ def test_multiply_row_direct():
     m = [[1.0, 2.0], [3.0, 4.0]]
     assert multiply_row(m, 0) == [7.0, 10.0]
     assert multiply_row(m, 1) == [15.0, 22.0]
+
+
+_SPECIAL = {
+    "zeros": (0.0, -0.0),
+    "inf-nan": (0.0, -0.0, float("inf"), float("-inf"), float("nan")),
+}
+
+
+def _seeded_matrix(seed: int) -> list[list]:
+    """d runs over 1..13, so every count of nonzero terms mod 4 occurs;
+    some matrices mix in signed zeros, infinities and nan, some are integer."""
+    rng = Random(seed)
+    d = seed % 13 + 1
+    kind = ("float", "zeros", "inf-nan", "int")[seed % 4]
+    if kind == "int":
+        return [[rng.choice((0, rng.randrange(-9, 10))) for _ in range(d)] for _ in range(d)]
+    specials = _SPECIAL.get(kind, ())
+    return [[rng.choice(specials) if specials and rng.random() < 0.3 else rng.uniform(-1, 1)
+             for _ in range(d)] for _ in range(d)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_multiply_row_is_bit_identical_to_the_k_order_loop(seed):
+    m = _seeded_matrix(seed)
+    d = len(m)
+    pack = struct.Struct(f"<{d}d").pack
+    for i in range(d):
+        assert pack(*multiply_row(m, i)) == pack(*square_row_k_order(m, i)), f"row {i}"
 
 
 def test_identity_squares_to_identity():

@@ -8,6 +8,7 @@ from support import RecordingEndpoint, record_boss
 from parqueue import codec, runtime
 from parqueue.errors import (
     ConfigurationError,
+    HandlerError,
     LifecycleError,
     ParqueueError,
     ProtocolError,
@@ -204,15 +205,17 @@ def test_unregistered_task_type_is_configuration_error():
             boss.run_jobs([Job(1)])
 
 
-def _start_tcp_with_worker_threads(workers, registry):
-    """A TCP boss whose workers run start(TcpWorkerConfig) in threads."""
+def _start_tcp_with_worker_threads(workers, registry, worker_errors=None):
+    """A TCP boss whose workers run start(TcpWorkerConfig) in threads;
+    what a worker's start() raises goes to worker_errors, if given."""
     addr = f"127.0.0.1:{pick_free_port()}"
 
     def worker_main():
         try:
             start(TcpWorkerConfig(addr, timeout=10), registry)
-        except ParqueueError:
-            pass  # a failed run ends every worker; the boss reports why
+        except ParqueueError as exc:  # a failed run ends every worker; the boss reports why
+            if worker_errors is not None:
+                worker_errors.append(exc)
 
     threads = [threading.Thread(target=worker_main, daemon=True) for _ in range(workers)]
     for t in threads:
@@ -335,18 +338,32 @@ def test_handler_returning_non_bytes_aborts():
             boss.run_jobs([Job(1)])
 
 
-def test_boss_task_handler_exception_aborts():
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_boss_task_handler_exception_aborts(transport):
     def boom(payload, boss):
         raise ValueError("bad task")
 
     def handler(job, ctx):
-        ctx.task(Job(2))
+        ctx.task(Job(2))  # blocks until the boss answers or goes away
         return b""
 
     registry = HandlerRegistry(worker={1: handler}, boss_task={2: boom})
-    with start(InprocConfig(1), registry) as boss:
-        with pytest.raises(Exception, match="bad task"):
+    worker_errors = []
+    if transport == "inproc":
+        boss = start(InprocConfig(1), registry)
+        threads = boss._threads
+    else:
+        boss, threads = _start_tcp_with_worker_threads(1, registry, worker_errors)
+    text = "boss task handler for job type 2 raised ValueError: bad task"
+    with boss:
+        with pytest.raises(HandlerError) as excinfo:
             boss.run_jobs([Job(1)])
+    assert str(excinfo.value) == text
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    if transport == "tcp":  # the boss's ABORT frame names the error, as inproc's does
+        assert [(type(e), str(e)) for e in worker_errors] == [(TransportError, f"node 0 disconnected: {text}")]
 
 
 def test_context_invalid_outside_invocation():
