@@ -7,7 +7,8 @@ submissions grow the live queue, job results are collected (empty
 results are dropped), task requests run a boss-side handler whose reply
 goes back to the requesting worker, and info requests answer with a
 queue snapshot.  Supervision returns once the queue is empty and every
-assigned job has reported back.
+assigned job has reported back.  In process, the worker thread that
+delivers a frame to the boss runs this loop itself, one at a time.
 
 Workers loop waiting for data shares, jobs, or the stop command, and
 run the registered handler for each job type.  Handlers receive a
@@ -38,6 +39,7 @@ from .wire import (
     BOSS_ID,
     Endpoint,
     Frame,
+    InprocEndpoint,
     MessageKind,
     TcpBossEndpoint,
     TcpWorkerEndpoint,
@@ -149,6 +151,11 @@ class WorkerContext:
         raise ProtocolError(f"expected {kind.name}, received {frame.kind.name}")
 
 
+_ASSIGN, _RESULT, _SUBMIT, _TASK = (MessageKind.JOB_ASSIGN, MessageKind.JOB_RESULT,
+                                    MessageKind.JOB_SUBMIT, MessageKind.TASK_REQUEST)
+_SHARE, _STOP = MessageKind.DATA_SHARE, MessageKind.STOP
+
+
 def _call_handler(handlers: dict, what: str, job_type: int, *args, reply: bool = True) -> bytes:
     """Run the handler registered for job_type.  Anything it raises
     other than a ParqueueError becomes a HandlerError naming the job
@@ -176,25 +183,23 @@ def _call_handler(handlers: dict, what: str, job_type: int, *args, reply: bool =
 def _worker_loop(endpoint: Endpoint, registry: HandlerRegistry) -> None:
     """The worker main loop: handle data shares and jobs until stopped."""
     store: dict = {}
-    stop_kind, assign_kind = MessageKind.STOP, MessageKind.JOB_ASSIGN
-    share_kind, result_kind = MessageKind.DATA_SHARE, MessageKind.JOB_RESULT
     recv, send, handlers = endpoint.recv, endpoint.send, registry.worker
     try:
         while True:
             _, frame = recv()
             kind = frame.kind
-            if kind is stop_kind:
+            if kind is _STOP:
                 break
-            if kind is assign_kind or kind is share_kind:
-                ctx = WorkerContext(endpoint, store, during_share=kind is share_kind)
+            if kind is _ASSIGN or kind is _SHARE:
+                ctx = WorkerContext(endpoint, store, during_share=kind is _SHARE)
                 try:
                     # data shares are acknowledged, not answered
                     result = _call_handler(handlers, "worker handler", frame.job_type,
                                            Job(frame.job_type, frame.payload), ctx,
-                                           reply=kind is assign_kind)
+                                           reply=kind is _ASSIGN)
                 finally:
                     ctx._active = False
-                send(BOSS_ID, Frame(result_kind, frame.job_type, result))
+                send(BOSS_ID, Frame(_RESULT, frame.job_type, result))
             else:
                 raise ProtocolError(f"worker received unexpected {kind.name}")
     except BaseException as exc:
@@ -229,6 +234,14 @@ class Boss:
         self._stopped = False
         self._abort_reason: str | None = None  # set once a run fails
         self._threads = list(worker_threads)
+        # inproc runs are served by the threads that deliver frames, one at a time
+        # under _lock (flat combining, Hendler et al., SPAA 2010); run_jobs waits for _done
+        self._lock = threading.Lock()
+        self._outqueue, self._t0, self._done = deque(), 0.0, None  # a run's results, start and end
+        self._error: BaseException | None = None  # what failed a run served that way
+        self._ready = endpoint._inbox.qsize if isinstance(endpoint, InprocEndpoint) else None
+        if self._ready is not None:
+            endpoint.on_delivery = self._serve_delivered
 
     @property
     def queued_jobs(self) -> int:
@@ -266,59 +279,85 @@ class Boss:
             payloads.append(job.data)
         if types and self.total_workers == 0:
             raise ConfigurationError("jobs queued but the cluster has no workers")
-        outqueue: deque[Job] = deque()
-        endpoint = self.endpoint
-        idle = self._idle
-        total = self.total_workers
-        registry = self.registry
-        send, recv = endpoint.send, endpoint.recv
-        assign_kind, submit_kind = MessageKind.JOB_ASSIGN, MessageKind.JOB_SUBMIT
-        result_kind, task_kind = MessageKind.JOB_RESULT, MessageKind.TASK_REQUEST
-        record, now = self.samples.record, time.perf_counter
-        self._supervising = True
+        self._outqueue, self._done = deque(), threading.Event()
         self.samples.clear()
-        t0 = now()
-        record(0.0, 0, len(types))
+        self._t0 = time.perf_counter()
+        self.samples.record(0.0, 0, len(types))
+        self._supervising = True  # from here on a delivery may serve the run
         try:
-            while types or len(idle) < total:
-                if types and idle:
-                    dest = min(idle)
-                    send(dest, Frame(assign_kind, types.popleft(), payloads.popleft()))
-                    idle.remove(dest)
-                    record(now() - t0, total - len(idle), len(types))
-                    continue
-                src, frame = recv()
-                kind = frame.kind
-                if kind is submit_kind:
-                    if not frame.job_type:
-                        raise ProtocolError(f"worker {src} submitted job type 0")
-                    types.append(frame.job_type)
-                    payloads.append(frame.payload)
-                    record(now() - t0, total - len(idle), len(types))
-                elif kind is result_kind:
-                    if src in idle:
-                        raise ProtocolError(f"unsolicited job result from idle worker {src}")
-                    idle.add(src)
-                    if frame.payload:
-                        outqueue.append(Job(frame.job_type, frame.payload))
-                    record(now() - t0, total - len(idle), len(types))
-                elif kind is task_kind:
-                    reply = _call_handler(registry.boss_task, "boss task handler",
-                                          frame.job_type, frame.payload, self)
-                    send(src, Frame(MessageKind.TASK_RESPONSE, frame.job_type, reply))
-                elif kind is MessageKind.INFO_REQUEST:
-                    snapshot = codec.encode(
-                        {"queued": len(types), "idle": len(idle), "total": self.total_workers}
-                    )
-                    send(src, Frame(MessageKind.INFO_RESPONSE, 0, snapshot))
-                else:
-                    raise ProtocolError(f"boss received unexpected {kind.name} during supervision")
+            if self._ready is None:
+                self._serve()
+            else:  # inproc: assign the first jobs here; deliveries drive the rest
+                self._serve_delivered(first=True)
+                self._done.wait()
+                error, self._error = self._error, None
+                if error is not None:
+                    raise error
         except ParqueueError as exc:
             self._abort_reason = str(exc) or type(exc).__name__
             raise
         finally:
             self._supervising = False
-        return outqueue
+        return self._outqueue
+
+    def _serve(self, ready: Callable[[], int] | None = None) -> bool:
+        """The supervision loop.  Returns True once the queue is empty and every
+        worker idle; given ready, returns False when ready() says no frame waits."""
+        types, payloads, idle, total = self._types, self._payloads, self._idle, self.total_workers
+        outqueue, t0, send, recv = self._outqueue, self._t0, self.endpoint.send, self.endpoint.recv
+        record, now = self.samples.record, time.perf_counter
+        while types or len(idle) < total:
+            if types and idle:
+                dest = min(idle)
+                send(dest, Frame(_ASSIGN, types.popleft(), payloads.popleft()))
+                idle.remove(dest)
+                record(now() - t0, total - len(idle), len(types))
+                continue
+            if ready is not None and not ready():
+                return False
+            src, frame = recv()
+            kind = frame.kind
+            if kind is _SUBMIT:
+                if not frame.job_type:
+                    raise ProtocolError(f"worker {src} submitted job type 0")
+                types.append(frame.job_type)
+                payloads.append(frame.payload)
+                record(now() - t0, total - len(idle), len(types))
+            elif kind is _RESULT:
+                if src in idle:
+                    raise ProtocolError(f"unsolicited job result from idle worker {src}")
+                idle.add(src)
+                if frame.payload:
+                    outqueue.append(Job(frame.job_type, frame.payload))
+                record(now() - t0, total - len(idle), len(types))
+            elif kind is _TASK:
+                reply = _call_handler(self.registry.boss_task, "boss task handler",
+                                      frame.job_type, frame.payload, self)
+                send(src, Frame(MessageKind.TASK_RESPONSE, frame.job_type, reply))
+            elif kind is MessageKind.INFO_REQUEST:
+                snapshot = codec.encode({"queued": len(types), "idle": len(idle), "total": total})
+                send(src, Frame(MessageKind.INFO_RESPONSE, 0, snapshot))
+            else:
+                raise ProtocolError(f"boss received unexpected {kind.name} during supervision")
+        return True
+
+    def _serve_delivered(self, first: bool = False) -> None:
+        """The inproc boss endpoint's on_delivery: unless another thread serves,
+        serve until no frame waits, then look again, since a frame delivered
+        meanwhile found the lock taken.  run_jobs passes first to wait for it."""
+        lock, ready = self._lock, self._ready
+        while (first or ready()) and self._supervising and lock.acquire(first):
+            first = False
+            try:
+                try:
+                    if not (self._supervising and self._serve(ready)):
+                        continue
+                except BaseException as exc:
+                    self._error = exc
+                self._supervising = False  # the run is over: wake run_jobs
+                self._done.set()
+            finally:
+                lock.release()
 
     def share_data(self, job_type: int, data: bytes) -> None:
         """Broadcast one payload; every worker runs its handler for
@@ -379,17 +418,13 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
     """
     if isinstance(config, InprocConfig):
         endpoints = inproc_cluster(config.workers)
-        threads = []
-        for endpoint in endpoints[1:]:
-            thread = threading.Thread(
-                target=_worker_thread_main,
-                args=(endpoint, registry),
-                name=f"parqueue-worker-{endpoint.node_id}",
-                daemon=True,
-            )
+        threads = [threading.Thread(target=_worker_thread_main, args=(endpoint, registry),
+                                    name=f"parqueue-worker-{endpoint.node_id}", daemon=True)
+                   for endpoint in endpoints[1:]]
+        boss = Boss(endpoints[0], config.workers, registry, threads)  # hooks node 0 before workers run
+        for thread in threads:
             thread.start()
-            threads.append(thread)
-        return Boss(endpoints[0], config.workers, registry, threads)
+        return boss
     if not 0 < getattr(config, "timeout", 1) < math.inf:
         raise ValueError(f"timeout must be a finite number of seconds above zero, got {config.timeout!r}")
     if isinstance(config, TcpBossConfig):

@@ -32,7 +32,7 @@ import time
 from collections import deque
 from enum import IntEnum
 from queue import SimpleQueue
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 from .errors import (
     LifecycleError,
@@ -160,6 +160,7 @@ class InprocEndpoint(Endpoint):
 
     def __init__(self, node_id: int):
         self.node_id = node_id
+        self.on_delivery: Callable[[], None] = lambda: None  # a sender calls it after each delivery
         self._inbox: SimpleQueue = SimpleQueue()
         self._peers: dict[int, InprocEndpoint] = {}
         self._open_peers = 0
@@ -176,6 +177,7 @@ class InprocEndpoint(Endpoint):
         if peer._closed:
             raise TransportError(f"node {dest} is closed")
         peer._inbox.put((self.node_id, frame))
+        peer.on_delivery()
 
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
@@ -193,8 +195,10 @@ class InprocEndpoint(Endpoint):
         if self._closed:
             return
         self._closed = True
+        self.on_delivery = lambda: None  # let go of the boss: nothing is delivered here now
         for peer in self._peers.values():
             peer._inbox.put((self.node_id, Frame(_ABORT, 0, (reason or "").encode("utf-8", "replace"))))
+            peer.on_delivery()
 
 
 # the second parameter is unused: perfbench/tracer.py still passes its recv_rng

@@ -1,11 +1,17 @@
 import socket
+import sys
 import threading
 import tracemalloc
+from random import Random
 
 import pytest
+from oracles import serial_queens_count, square_row_k_order, trial_division_factors
 from support import RecordingEndpoint, record_boss
 
 from parqueue import codec, runtime
+from parqueue.apps import factor, matsquare, queens
+from parqueue.apps.matsquare import MatrixSquare
+from parqueue.apps.queens import Queens
 from parqueue.errors import (
     ConfigurationError,
     HandlerError,
@@ -452,3 +458,154 @@ def test_data_share_reply_is_ignored_not_type_checked():
     with start(InprocConfig(2), registry) as boss:
         boss.share_data(1, b"table")
         assert [job.data for job in boss.run_jobs([Job(2)])] == [b"ok"]
+
+
+class _RecvThreads(RecordingEndpoint):
+    """Records the thread that takes each frame the boss receives."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.threads = []
+
+    def recv(self):
+        self.threads.append(threading.current_thread())
+        return super().recv()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_inproc_frames_are_served_on_the_delivering_thread(transport):
+    # inproc: the worker that delivers a frame runs the boss loop on it, so
+    # run_jobs's caller takes none; TCP: the caller's loop takes every frame
+    app = Queens()
+    if transport == "inproc":
+        boss, threads = start(InprocConfig(1), app.registry()), []
+    else:
+        boss, threads = _start_tcp_with_worker_threads(1, app.registry())
+    with boss:
+        recorder = boss.endpoint = _RecvThreads(boss.endpoint)
+        assert app.run(boss, 8, 3) == serial_queens_count(8)
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    caller = threading.current_thread()
+    assert len(recorder.threads) > 100
+    taken_by_caller = sum(thread is caller for thread in recorder.threads)
+    assert taken_by_caller == (0 if transport == "inproc" else len(recorder.threads))
+
+
+def test_a_worker_failure_while_another_worker_serves_aborts_the_run():
+    # worker 1's task request makes its thread the server; the task waits
+    # until worker 2 has raised and ended, so worker 2's ABORT finds the lock
+    # taken and is served by worker 1's thread once the task returns
+    started = threading.Event()
+
+    def wait_for_worker_2(payload, boss):
+        started.set()
+        boss._threads[1].join(timeout=10)
+        return b""
+
+    def ask(job, ctx):
+        return ctx.task(Job(3))
+
+    def fail(job, ctx):
+        started.wait(timeout=10)
+        raise ValueError("boom")
+
+    registry = HandlerRegistry(worker={1: ask, 2: fail}, boss_task={3: wait_for_worker_2})
+    boss = start(InprocConfig(4), registry)
+    with boss:
+        with pytest.raises(TransportError) as excinfo:
+            boss.run_jobs([Job(1), Job(2)])
+    for t in boss._threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert str(excinfo.value) == "node 2 disconnected: worker handler for job type 2 raised ValueError: boom"
+
+
+def test_a_frame_delivered_while_the_server_lets_go_is_served():
+    # the caller serves the first assignment; right after it finds the inbox
+    # empty, and before it lets go of the lock, the worker delivers a task
+    # request and blocks for the reply, so only the caller's second look
+    # after letting go can serve it
+    registry = HandlerRegistry(worker={1: lambda job, ctx: ctx.task(Job(2))},
+                               boss_task={2: lambda payload, boss: b"served"})
+    with start(InprocConfig(1), registry) as boss:
+        out = []
+        caller = threading.Thread(target=lambda: out.extend(boss.run_jobs([Job(1)])), daemon=True)
+        worker, inbox_size, serve = boss._threads[0], boss._ready, boss.endpoint.on_delivery
+        delivered, injected = threading.Event(), []
+
+        def ready():
+            waiting = inbox_size()
+            if not waiting and not injected and threading.current_thread() is caller:
+                injected.append(True)
+                assert delivered.wait(timeout=10)  # the worker found the lock taken
+            return waiting
+
+        def on_delivery():
+            serve()
+            if threading.current_thread() is worker:
+                delivered.set()
+
+        boss._ready, boss.endpoint.on_delivery = ready, on_delivery
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "the task request was never served"
+        assert injected and [job.data for job in out] == [b"served"]
+
+
+def _asking_info(registry: HandlerRegistry, job_type: int) -> HandlerRegistry:
+    """The same registry, with one handler asking for a queue snapshot first."""
+    handler = registry.worker[job_type]
+
+    def asking(job, ctx):
+        info = ctx.info()
+        assert info.total_workers == 8 and 0 <= info.idle_workers < 8
+        return handler(job, ctx)
+
+    registry.worker[job_type] = asking
+    return registry
+
+
+def test_no_delivery_is_left_unserved_under_load():
+    # eight workers deliver submits, results, tasks, info requests and share
+    # acks at once; a lost wake-up would leave a run waiting forever
+    rng = Random(12)
+    matrix = [[rng.uniform(-1.0, 1.0) for _ in range(12)] for _ in range(12)]
+    expected_rows = [square_row_k_order(matrix, i) for i in range(12)]
+    n = 2**4 * 3**3 * 5 * 7 * 11 * 13
+
+    def run_queens():
+        app = Queens()
+        with start(InprocConfig(8), _asking_info(app.registry(), queens.PLACE)) as boss:
+            assert app.run(boss, 8, 3) == serial_queens_count(8)
+
+    def run_factor():
+        with start(InprocConfig(8), _asking_info(factor.registry(), factor.SPLIT)) as boss:
+            assert factor.factor(boss, n) == trial_division_factors(n)
+
+    def run_matsquare():
+        app = MatrixSquare()
+        with start(InprocConfig(8), _asking_info(app.registry(), matsquare.MULTIPLY)) as boss:
+            assert app.run(boss, matrix) == expected_rows
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads switch often, also while one of them serves
+    try:
+        for run in (run_queens, run_factor, run_matsquare):
+            for attempt in range(25):
+                errors = []
+                thread = threading.Thread(target=lambda: _catching(run, errors), daemon=True)
+                thread.start()
+                thread.join(timeout=30)
+                assert not thread.is_alive(), f"{run.__name__} run {attempt} hung"
+                assert errors == [], f"{run.__name__} run {attempt}: {errors[0]!r}"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _catching(fn, errors: list) -> None:
+    try:
+        fn()
+    except BaseException as exc:
+        errors.append(exc)
