@@ -1,10 +1,14 @@
 import csv
+import time
 import tracemalloc
+import types
 
 import pytest
 
+import parqueue.metrics
 from parqueue.apps.queens import Queens
 from parqueue.metrics import (
+    TIMED_RUNS,
     LoadLog,
     LoadSample,
     OverheadReport,
@@ -90,6 +94,17 @@ def test_bench_overhead_validates_inputs():
         bench_overhead(10, 0, 0.01, 0)
     with pytest.raises(ValueError):
         bench_overhead(10, -1, 0.01, 4)
+
+
+def test_bench_overhead_reports_the_fastest_timed_run(monkeypatch):
+    # each timed run reads the clock twice; the runs take 0.5, 0.2 and 0.9 s
+    readings = iter([0.0, 0.5, 10.0, 10.2, 20.0, 20.9])
+    clock = types.SimpleNamespace(sleep=time.sleep, perf_counter=lambda: next(readings))
+    monkeypatch.setattr(parqueue.metrics, "time", clock)
+    assert TIMED_RUNS == 3
+    report = bench_overhead(4, 0, 0.001, 2)
+    assert report.runtime_t == pytest.approx(0.2)
+    assert next(readings, None) is None
 
 
 def test_bench_overhead_small_run():
