@@ -328,6 +328,8 @@ class Boss:
                     raise ProtocolError(f"unsolicited job result from idle worker {src}")
                 idle.add(src)
                 if frame.payload:
+                    if not frame.job_type:
+                        raise ProtocolError(f"worker {src} returned a result of job type 0")
                     outqueue.append(Job(frame.job_type, frame.payload))
                 record(now() - t0, total - len(idle), len(types))
             elif kind is _TASK:
@@ -338,7 +340,9 @@ class Boss:
                 snapshot = codec.encode({"queued": len(types), "idle": len(idle), "total": total})
                 send(src, Frame(MessageKind.INFO_RESPONSE, 0, snapshot))
             else:
-                raise ProtocolError(f"boss received unexpected {kind.name} during supervision")
+                raise ProtocolError(
+                    f"boss received unexpected {kind.name} from worker {src} during supervision"
+                )
         return True
 
     def _serve_delivered(self, first: bool = False) -> None:
@@ -370,10 +374,10 @@ class Boss:
         try:
             self.endpoint.broadcast(Frame(MessageKind.DATA_SHARE, share.job_type, share.data))
             for _ in range(self.total_workers):
-                _, frame = self.endpoint.recv()
+                src, frame = self.endpoint.recv()
                 if frame.kind is not MessageKind.JOB_RESULT or frame.payload:
                     raise ProtocolError(
-                        f"expected an empty data-share acknowledgment, got {frame.kind.name}"
+                        f"expected an empty data-share acknowledgment from worker {src}, got {frame.kind.name}"
                     )
         except ParqueueError as exc:
             self._abort_reason = str(exc) or type(exc).__name__

@@ -14,8 +14,9 @@ A frame is a 13-byte header followed by the payload bytes:
 Two interchangeable backends implement the Endpoint contract: an
 in-process backend linking node threads, and a TCP backend speaking the
 frame grammar over sockets.  Each in-process node receives through one
-inbox that its peers feed directly; the TCP boss starts no thread and
-buffers what arrives on the sockets that one selector reports ready.
+inbox that its peers feed directly.  Both TCP ends are one endpoint
+class that starts no thread and parses frames out of a buffer per peer
+socket; read_frame serves only callers holding a byte stream.
 Frames arrive in send order between any pair of nodes.  A lost peer
 surfaces as a TransportError naming the node and its reason (over TCP
 it travels in an ABORT frame, either way), and once every peer is gone recv
@@ -24,7 +25,6 @@ raises rather than blocks (there is no reconnection or failover).
 
 from __future__ import annotations
 
-import io
 import selectors
 import socket
 import struct
@@ -230,78 +230,54 @@ def pick_free_port() -> int:
         return probe.getsockname()[1]
 
 
-class TcpBossEndpoint(Endpoint):
-    """Boss side of the TCP backend.
+class TcpEndpoint(Endpoint):
+    """One node's side of the TCP backend: a socket per peer (the boss
+    has one per worker, a worker one to node 0).
 
-    Workers are numbered 1..N in connection order; each learns its id
-    from a one-frame handshake (kind=INFO_RESPONSE, job_type=id).  recv
-    reads once from each connection the selector reports ready into
-    that peer's buffer and returns the complete frames in arrival
-    order.  A connection is open while it is registered.
+    recv reads once from a ready peer into that peer's buffer and
+    returns the complete frames in arrival order.  With one open peer
+    it blocks in that peer's recv; with several, one selector reports
+    the ready ones.  A peer is open while its key is listed.
     """
 
-    def __init__(self, listen: str, workers: int, timeout: float):
-        if workers < 0:
-            raise ValueError("worker count must not be negative")
-        self.node_id = BOSS_ID
-        self._peers: dict[int, socket.socket] = {}
+    def __init__(self, node_id: int | None, peers: dict[int, socket.socket]):
+        self.node_id = node_id
+        self._peers = peers
         self._closed = False
-        host, port = _parse_addr(listen)
-        deadline = time.monotonic() + timeout
-        try:
-            listener = socket.create_server((host, port), backlog=workers or 1)
-        except OSError as exc:
-            raise StartupError(f"cannot listen on {listen}: {exc}") from exc
-        try:
-            for node_id in range(1, workers + 1):
-                listener.settimeout(max(deadline - time.monotonic(), 0.01))
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    raise StartupError(
-                        f"timed out waiting for worker {node_id} of {workers} to connect"
-                    ) from None
-                except OSError as exc:
-                    raise StartupError(f"accept failed: {exc}") from exc
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._peers[node_id] = conn
-                conn.sendall(encode_frame(Frame(MessageKind.INFO_RESPONSE, node_id)))
-        except BaseException:
-            for conn in self._peers.values():
-                conn.close()
-            raise
-        finally:
-            listener.close()
         self._selector = selectors.DefaultSelector()
-        for node_id, conn in self._peers.items():
-            self._selector.register(conn, selectors.EVENT_READ, (node_id, bytearray()))
+        self._open = [self._selector.register(sock, selectors.EVENT_READ, (peer, bytearray()))
+                      for peer, sock in peers.items()]
         self._arrived: deque[tuple[int, Frame]] = deque()
 
     def send(self, dest: int, frame: Frame) -> None:
-        conn = self._peers.get(dest)
-        if conn is None:
+        sock = self._peers.get(dest)
+        if sock is None:
             raise TransportError(f"no connection to node {dest}")
         try:
-            conn.sendall(encode_frame(frame))
+            sock.sendall(encode_frame(frame))
         except OSError as exc:
             raise TransportError(f"send to node {dest} failed: {exc}") from exc
 
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
             raise TransportError("endpoint is closed")
-        while not self._arrived:
-            if not self._selector.get_map():
+        arrived, open_keys = self._arrived, self._open
+        while not arrived:
+            if len(open_keys) == 1:  # block in the one peer's recv: no select call per frame
+                self._receive(open_keys[0])
+            elif not open_keys:
                 raise TransportError("all peers disconnected")
-            for key, _ in self._selector.select():
-                self._receive(key)
-        src, frame = self._arrived.popleft()
+            else:
+                for key, _ in self._selector.select():
+                    self._receive(key)
+        src, frame = arrived.popleft()
         if frame.kind is _ABORT:
             raise TransportError(f"node {src} disconnected: {frame.payload.decode('utf-8', 'replace')}")
         return src, frame
 
     def _receive(self, key: selectors.SelectorKey) -> None:
-        """Read once from a ready peer and queue each complete frame; on
-        a close or a fault, queue an ABORT naming it and drop the peer."""
+        """Read once from a peer and queue each complete frame; on a
+        close or a fault, queue an ABORT naming it and drop the peer."""
         node_id, buffer = key.data
         try:
             chunk = key.fileobj.recv(1 << 16)  # not _READ_CHUNK: glibc maps 1 MiB afresh per call
@@ -315,78 +291,88 @@ class TcpBossEndpoint(Endpoint):
                 if kind is _ABORT:
                     raise TransportError(payload.decode("utf-8", "replace"))
                 self._arrived.append((node_id, Frame(kind, job_type, payload)))
-            if not chunk:  # what is left is part of a frame: read_frame says how much
-                read_frame(io.BytesIO(buffer))
+            if not chunk:  # name the header or payload bytes that arrived, as read_frame does
+                got, count = len(buffer), HEADER_SIZE
+                if got >= HEADER_SIZE:
+                    got, count = got - HEADER_SIZE, length
+                raise TruncationError(f"stream ended after {got} of {count} bytes")
         except (TransportError, TruncationError, ProtocolError, OSError) as exc:
             self._selector.unregister(key.fileobj)
+            self._open.remove(key)
             self._arrived.append((node_id, Frame(_ABORT, 0, str(exc).encode("utf-8", "replace"))))
 
     def close(self, reason: str | None = None) -> None:
         self._closed = True
         self._selector.close()
         abort = encode_frame(Frame(_ABORT, 0, reason.encode("utf-8", "replace"))) if reason else b""
-        for conn in self._peers.values():
+        for sock in self._peers.values():
             try:
-                if abort:  # tell the worker why; MSG_DONTWAIT: a full socket cannot block the close
-                    conn.send(abort, socket.MSG_DONTWAIT)
-                conn.shutdown(socket.SHUT_RDWR)
+                if abort:  # tell the peer why; MSG_DONTWAIT: a full socket cannot block the close
+                    sock.send(abort, socket.MSG_DONTWAIT)
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            conn.close()
+            sock.close()
 
 
-class TcpWorkerEndpoint(Endpoint):
-    """Worker side of the TCP backend: one socket to the boss."""
-
-    def __init__(self, connect: str, timeout: float):
-        host, port = _parse_addr(connect)
-        deadline = time.monotonic() + timeout
-        while True:
+def TcpBossEndpoint(listen: str, workers: int, timeout: float) -> TcpEndpoint:
+    """Accept workers on listen and number them 1..N in connection
+    order; each learns its id from a one-frame handshake
+    (kind=INFO_RESPONSE, job_type=id)."""
+    if workers < 0:
+        raise ValueError("worker count must not be negative")
+    peers: dict[int, socket.socket] = {}
+    host, port = _parse_addr(listen)
+    deadline = time.monotonic() + timeout
+    try:
+        listener = socket.create_server((host, port), backlog=workers or 1)
+    except OSError as exc:
+        raise StartupError(f"cannot listen on {listen}: {exc}") from exc
+    try:
+        for node_id in range(1, workers + 1):
+            listener.settimeout(max(deadline - time.monotonic(), 0.01))
             try:
-                sock = socket.create_connection((host, port), timeout=max(deadline - time.monotonic(), 0.01))
-                break
+                conn, _ = listener.accept()
+            except socket.timeout:
+                raise StartupError(
+                    f"timed out waiting for worker {node_id} of {workers} to connect"
+                ) from None
             except OSError as exc:
-                if time.monotonic() >= deadline:
-                    raise StartupError(f"cannot connect to boss at {connect}: {exc}") from exc
-                time.sleep(0.02)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
-        self._source = sock.makefile("rb")
-        # the connect timeout stays on the socket, so it bounds the handshake too
-        try:
-            hello = read_frame(self._source)
-            if hello.kind is not MessageKind.INFO_RESPONSE:
-                raise ProtocolError(f"expected handshake frame, got {hello.kind.name}")
-        except (TruncationError, ProtocolError, OSError) as exc:
-            self.close()
-            raise StartupError(f"handshake with boss at {connect} failed: {exc}") from exc
-        sock.settimeout(None)
-        self.node_id = hello.job_type
+                raise StartupError(f"accept failed: {exc}") from exc
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            peers[node_id] = conn
+            conn.sendall(encode_frame(Frame(MessageKind.INFO_RESPONSE, node_id)))
+    except BaseException:
+        for conn in peers.values():
+            conn.close()
+        raise
+    finally:
+        listener.close()
+    return TcpEndpoint(BOSS_ID, peers)
 
-    def send(self, dest: int, frame: Frame) -> None:
-        if dest != BOSS_ID:
-            raise TransportError(f"workers may only send to the boss, not node {dest}")
+
+def TcpWorkerEndpoint(connect: str, timeout: float) -> TcpEndpoint:
+    """Connect to the boss at connect and take the id its handshake names."""
+    host, port = _parse_addr(connect)
+    deadline = time.monotonic() + timeout
+    while True:
         try:
-            self._sock.sendall(encode_frame(frame))
+            sock = socket.create_connection((host, port), timeout=max(deadline - time.monotonic(), 0.01))
+            break
         except OSError as exc:
-            raise TransportError(f"send to boss failed: {exc}") from exc
-
-    def recv(self) -> tuple[int, Frame]:
-        try:
-            frame = read_frame(self._source)
-        except (TruncationError, OSError) as exc:
-            raise TransportError(f"boss disconnected: {exc}") from exc
-        if frame.kind is _ABORT:  # the text an inproc worker reads
-            raise TransportError(f"node {BOSS_ID} disconnected: {frame.payload.decode('utf-8', 'replace')}")
-        return BOSS_ID, frame
-
-    def close(self, reason: str | None = None) -> None:
-        try:
-            if reason:  # tell the boss why before hanging up
-                abort = Frame(MessageKind.ABORT, 0, reason.encode("utf-8", "replace"))
-                self._sock.sendall(encode_frame(abort))
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._source.close()
-        self._sock.close()
+            if time.monotonic() >= deadline:
+                raise StartupError(f"cannot connect to boss at {connect}: {exc}") from exc
+            time.sleep(0.02)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    worker = TcpEndpoint(None, {BOSS_ID: sock})  # the handshake names the id
+    # the connect timeout stays on the socket, so it bounds the handshake too
+    try:
+        _, hello = worker.recv()
+        if hello.kind is not MessageKind.INFO_RESPONSE:
+            raise ProtocolError(f"expected handshake frame, got {hello.kind.name}")
+    except (TransportError, ProtocolError) as exc:
+        worker.close()
+        raise StartupError(f"handshake with boss at {connect} failed: {exc}") from exc
+    sock.settimeout(None)
+    worker.node_id = hello.job_type
+    return worker

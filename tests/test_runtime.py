@@ -30,7 +30,7 @@ from parqueue.runtime import (
     TcpWorkerConfig,
     start,
 )
-from parqueue.wire import BOSS_ID, Frame, MessageKind, pick_free_port
+from parqueue.wire import BOSS_ID, Frame, MessageKind, TcpWorkerEndpoint, inproc_cluster, pick_free_port
 
 
 def test_job_type_must_be_positive():
@@ -270,6 +270,69 @@ def test_submit_of_job_type_zero_is_a_protocol_error(transport):
     for t in threads:
         t.join(timeout=10)
         assert not t.is_alive()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_result_of_job_type_zero_is_a_protocol_error(transport):
+    def handler(job, ctx):
+        # Job(0, ...) cannot be built, so write the frame a faulty worker would send
+        ctx._endpoint.send(BOSS_ID, Frame(MessageKind.JOB_RESULT, 0, b"result"))
+        return b""
+
+    registry = HandlerRegistry(worker={1: handler})
+    if transport == "inproc":
+        boss, threads = start(InprocConfig(1), registry), []
+    else:
+        boss, threads = _start_tcp_with_worker_threads(1, registry)
+    with boss:
+        with pytest.raises(ProtocolError, match="^worker 1 returned a result of job type 0$"):
+            boss.run_jobs([Job(1)])
+        with pytest.raises(LifecycleError, match="aborted run"):
+            boss.run_jobs([])
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
+def _boss_with_raw_workers(transport, workers):
+    """A Boss on node 0 whose worker endpoints the test drives by hand."""
+    if transport == "inproc":
+        endpoints = inproc_cluster(workers)
+        return Boss(endpoints[0], workers, HandlerRegistry()), endpoints[1:]
+    addr = f"127.0.0.1:{pick_free_port()}"
+    boss = []
+    acceptor = threading.Thread(target=lambda: boss.append(start(TcpBossConfig(addr, workers, 10),
+                                                                 HandlerRegistry())))
+    acceptor.start()
+    endpoints = [TcpWorkerEndpoint(addr, 10) for _ in range(workers)]
+    acceptor.join()
+    return boss[0], endpoints
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+@pytest.mark.parametrize("frame, call, text", [
+    (Frame(MessageKind.INFO_RESPONSE), "run_jobs",
+     "boss received unexpected INFO_RESPONSE from worker 2 during supervision"),
+    (Frame(MessageKind.JOB_RESULT, 1, b""), "run_jobs", "unsolicited job result from idle worker 2"),
+    (Frame(MessageKind.TASK_REQUEST, 1, b""), "share_data",
+     "expected an empty data-share acknowledgment from worker 2, got TASK_REQUEST"),
+], ids=["unexpected-kind", "unsolicited-result", "bad-share-ack"])
+def test_a_bad_frame_names_its_worker_and_aborts_the_cluster(transport, frame, call, text):
+    boss, (w1, w2) = _boss_with_raw_workers(transport, 2)
+    try:
+        w2.send(BOSS_ID, frame)  # waits at the boss until the call below reads it
+        with pytest.raises(ProtocolError) as excinfo:
+            if call == "run_jobs":
+                boss.run_jobs([Job(1)])  # worker 1 takes the job, so only worker 2's frame arrives
+            else:
+                boss.share_data(1, b"")
+        assert str(excinfo.value) == text
+        with pytest.raises(LifecycleError, match="aborted run"):
+            boss.run_jobs([])
+    finally:
+        boss.stop()
+        w1.close()
+        w2.close()
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])

@@ -443,24 +443,72 @@ def test_tcp_boss_keeps_per_peer_fifo_and_reports_close_reasons():
         boss.close()
 
 
-def test_tcp_boss_allocates_only_arriving_bytes():
-    # the boss buffers only the bytes that arrive, so a header claiming
+@pytest.mark.parametrize("reader", ["boss", "worker"])
+def test_tcp_reader_allocates_only_arriving_bytes(reader):
+    # either end buffers only the bytes that arrive, so a header claiming
     # 64 MiB followed by 10 bytes costs it no 64 MiB allocation
     boss, (worker,) = _tcp_pair()
+    sender, receiver = (worker, boss) if reader == "boss" else (boss, worker)
     try:
         header = HEADER.pack(MAGIC, VERSION, int(MessageKind.DATA_SHARE), 1, 64 << 20)
-        worker._sock.sendall(header + b"0123456789")
-        worker.close()
+        sender._peers[receiver.node_id].sendall(header + b"0123456789")
+        sender.close()
         tracemalloc.start()
         try:
-            outcome = _recv_outcome(boss)
+            outcome = _recv_outcome(receiver)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert str(outcome) == "node 1 disconnected: stream ended after 10 of 67108864 bytes"
+        assert str(outcome) == (
+            f"node {sender.node_id} disconnected: stream ended after 10 of 67108864 bytes"
+        )
         assert peak < 4 << 20
     finally:
         boss.close()
+        worker.close()
+
+
+@pytest.mark.parametrize("writes", [
+    lambda first, second: [first[:7], first[7:] + second[:3], second[3:]],
+    lambda first, second: [first + second],
+], ids=["frames-split-across-writes", "two-frames-in-one-write"])
+def test_tcp_worker_returns_whole_frames_in_order(writes):
+    boss, (worker,) = _tcp_pair()
+    frames = [Frame(MessageKind.JOB_ASSIGN, 3, b"first payload"), Frame(MessageKind.STOP)]
+    try:
+        received = []
+        reader = threading.Thread(target=lambda: received.extend(worker.recv() for _ in frames),
+                                  daemon=True)
+        reader.start()
+        for data in writes(*map(encode_frame, frames)):
+            boss._peers[1].sendall(data)
+            time.sleep(0.05)  # let the worker read each write on its own
+        reader.join(5)
+        assert not reader.is_alive(), "the worker did not return both frames"
+        assert received == [(0, frame) for frame in frames]
+    finally:
+        boss.close()
+        worker.close()
+
+
+@pytest.mark.parametrize("reader", ["boss", "worker"])
+def test_tcp_recv_from_one_open_peer_calls_no_select(reader):
+    boss, (worker,) = _tcp_pair()
+    sender, receiver = (worker, boss) if reader == "boss" else (boss, worker)
+
+    def select(timeout=None):
+        raise TransportError("select called with one peer open")
+
+    receiver._selector.select = select
+    try:
+        sender.send(receiver.node_id, Frame(MessageKind.JOB_SUBMIT, 2, b"abc"))
+        assert _recv_outcome(receiver) == (sender.node_id, Frame(MessageKind.JOB_SUBMIT, 2, b"abc"))
+        sender.close("done")
+        outcome = _recv_outcome(receiver)
+        assert str(outcome) == f"node {sender.node_id} disconnected: done"
+    finally:
+        boss.close()
+        worker.close()
 
 
 def test_tcp_boss_starts_no_thread():
@@ -478,7 +526,7 @@ def test_tcp_boss_partial_frame_stalls_no_other_peer():
     boss, (stalled, worker) = _tcp_pair(workers=2)
     try:
         frame = encode_frame(Frame(MessageKind.JOB_SUBMIT, 4, b"late"))
-        stalled._sock.sendall(frame[:7])
+        stalled._peers[0].sendall(frame[:7])
         received = []
         reader = threading.Thread(target=lambda: received.extend(boss.recv() for _ in range(2)),
                                   daemon=True)
@@ -490,7 +538,7 @@ def test_tcp_boss_partial_frame_stalls_no_other_peer():
         assert not reader.is_alive(), "a partial frame from node 1 stalled node 2"
         assert received == [(2, Frame(MessageKind.JOB_SUBMIT, 5, b"one")),
                             (2, Frame(MessageKind.JOB_SUBMIT, 5, b"two"))]
-        stalled._sock.sendall(frame[7:])
+        stalled._peers[0].sendall(frame[7:])
         assert _recv_outcome(boss) == (1, Frame(MessageKind.JOB_SUBMIT, 4, b"late"))
     finally:
         boss.close()
