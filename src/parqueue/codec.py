@@ -31,6 +31,7 @@ _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
 _I64_MIN = -(2**63)
 _CACHED_MAX = 64  # longer scalar sequences are packed and read without a cached Struct
+_PACK_CHUNK = 1024  # values per pack_into call for a longer one
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -78,7 +79,7 @@ def _scalar_seq(elem_tag: int, n: int) -> struct.Struct:
 
 def _pack_scalars(items: list) -> bytes | None:
     """A list of plain ints >= 0 or plain floats, encoded in one struct
-    call (or, when long, one array copy); None for any other list, for
+    call (or, when long, one per chunk); None for any other list, for
     _write_seq to handle."""
     kind = type(items[0]) if items else int  # [] packs as an empty uint sequence
     if kind is not int and kind is not float:
@@ -88,13 +89,13 @@ def _pack_scalars(items: list) -> bytes | None:
             return None
     tag, n = (TAG_UINT if kind is int else TAG_FLOAT), len(items)
     if n > _CACHED_MAX:  # pack the values alone, then interleave the tags: _read_seq's strip reversed
+        code, raw = ("Q" if kind is int else "d"), bytearray(8 * n)
         try:
-            values = array("Q" if kind is int else "d", items)
-        except OverflowError:  # a negative or over-64-bit int
+            for start in range(0, n, _PACK_CHUNK):  # bounded calls: no argument tuple sized by the list
+                chunk = items[start:start + _PACK_CHUNK]
+                struct.pack_into(f"<{len(chunk)}{code}", raw, 8 * start, *chunk)
+        except struct.error:  # a negative or over-64-bit int
             return None
-        if sys.byteorder == "big":
-            values.byteswap()
-        raw = values.tobytes()
         out = bytearray(5 + 9 * n)
         out[0] = TAG_SEQ
         out[1:5] = _U32.pack(n)

@@ -7,8 +7,10 @@ submissions grow the live queue, job results are collected (empty
 results are dropped), task requests run a boss-side handler whose reply
 goes back to the requesting worker, and info requests answer with a
 queue snapshot.  Supervision returns once the queue is empty and every
-assigned job has reported back.  In process, the worker thread that
-delivers a frame to the boss runs this loop itself, one at a time.
+assigned job has reported back.  One driver serves every transport: in
+process the worker thread that delivers a frame to the boss runs this
+loop itself, one at a time; otherwise run_jobs's caller runs it.  Any
+exception that ends a run or a data share aborts the cluster.
 
 Workers loop waiting for data shares, jobs, or the stop command, and
 run the registered handler for each job type.  Handlers receive a
@@ -232,13 +234,13 @@ class Boss:
         self._payloads: deque[bytes] = deque()
         self._supervising = False
         self._stopped = False
-        self._abort_reason: str | None = None  # set once a run fails
+        self._abort_reason: str | None = None  # set once a run or a share fails
         self._threads = list(worker_threads)
-        # inproc runs are served by the threads that deliver frames, one at a time
-        # under _lock (flat combining, Hendler et al., SPAA 2010); run_jobs waits for _done
+        # a run is served by one thread at a time under _lock (flat combining,
+        # Hendler et al., SPAA 2010); run_jobs waits for _done
         self._lock = threading.Lock()
         self._outqueue, self._t0, self._done = deque(), 0.0, None  # a run's results, start and end
-        self._error: BaseException | None = None  # what failed a run served that way
+        self._error: BaseException | None = None  # what failed the run
         self._ready = endpoint._inbox.qsize if isinstance(endpoint, InprocEndpoint) else None
         if self._ready is not None:
             endpoint.on_delivery = self._serve_delivered
@@ -250,10 +252,6 @@ class Boss:
     @property
     def idle_workers(self) -> int:
         return len(self._idle)
-
-    @property
-    def outstanding_jobs(self) -> int:
-        return self.total_workers - len(self._idle)
 
     def _require_open(self, op: str, allow_aborted: bool = False) -> None:
         if self._stopped:
@@ -285,22 +283,18 @@ class Boss:
         self.samples.record(0.0, 0, len(types))
         self._supervising = True  # from here on a delivery may serve the run
         try:
-            if self._ready is None:
-                self._serve()
-            else:  # inproc: assign the first jobs here; deliveries drive the rest
-                self._serve_delivered(first=True)
-                self._done.wait()
-                error, self._error = self._error, None
-                if error is not None:
-                    raise error
-        except ParqueueError as exc:
+            self._serve_delivered(first=True)
+            self._done.wait()
+            if self._error is not None:  # it aborts the cluster, so no later run sees it
+                raise self._error
+        except BaseException as exc:
             self._abort_reason = str(exc) or type(exc).__name__
             raise
         finally:
             self._supervising = False
         return self._outqueue
 
-    def _serve(self, ready: Callable[[], int] | None = None) -> bool:
+    def _serve(self, ready: Callable[[], int] | None) -> bool:
         """The supervision loop.  Returns True once the queue is empty and every
         worker idle; given ready, returns False when ready() says no frame waits."""
         types, payloads, idle, total = self._types, self._payloads, self._idle, self.total_workers
@@ -346,11 +340,13 @@ class Boss:
         return True
 
     def _serve_delivered(self, first: bool = False) -> None:
-        """The inproc boss endpoint's on_delivery: unless another thread serves,
-        serve until no frame waits, then look again, since a frame delivered
-        meanwhile found the lock taken.  run_jobs passes first to wait for it."""
+        """The one driver of every run.  run_jobs calls it with first set; with
+        no ready (any endpoint but inproc's) that call serves the whole run in
+        a blocking recv.  In process it is also the boss endpoint's on_delivery:
+        unless another thread serves, serve until no frame waits, then look
+        again, since a frame delivered meanwhile found the lock taken."""
         lock, ready = self._lock, self._ready
-        while (first or ready()) and self._supervising and lock.acquire(first):
+        while (first or self._supervising and ready()) and lock.acquire(first):
             first = False
             try:
                 try:
@@ -369,8 +365,6 @@ class Boss:
         all workers have acknowledged."""
         self._require_open("share_data")
         share = Job(job_type, data)  # validates both before anything is sent
-        if self.outstanding_jobs:
-            raise LifecycleError("share_data requires all workers idle")
         try:
             self.endpoint.broadcast(Frame(MessageKind.DATA_SHARE, share.job_type, share.data))
             for _ in range(self.total_workers):
@@ -379,7 +373,7 @@ class Boss:
                     raise ProtocolError(
                         f"expected an empty data-share acknowledgment from worker {src}, got {frame.kind.name}"
                     )
-        except ParqueueError as exc:
+        except BaseException as exc:
             self._abort_reason = str(exc) or type(exc).__name__
             raise
 

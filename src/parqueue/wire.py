@@ -252,7 +252,7 @@ class TcpEndpoint(Endpoint):
     def send(self, dest: int, frame: Frame) -> None:
         sock = self._peers.get(dest)
         if sock is None:
-            raise TransportError(f"no connection to node {dest}")
+            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
         try:
             sock.sendall(encode_frame(frame))
         except OSError as exc:

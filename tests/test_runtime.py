@@ -435,6 +435,100 @@ def test_boss_task_handler_exception_aborts(transport):
         assert [(type(e), str(e)) for e in worker_errors] == [(TransportError, f"node 0 disconnected: {text}")]
 
 
+class _Interrupt(BaseException):
+    """Ends a call as KeyboardInterrupt or SystemExit would: not an
+    Exception, so no handler wrapper turns it into a ParqueueError."""
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_run_ended_by_any_exception_aborts_the_cluster(transport):
+    interrupt = _Interrupt()
+
+    def interrupted(payload, boss):
+        raise interrupt
+
+    def handler(job, ctx):
+        return ctx.task(Job(2))  # waits here while the boss's task ends the run
+
+    registry = HandlerRegistry(worker={1: handler}, boss_task={2: interrupted})
+    worker_errors = []
+    if transport == "inproc":
+        boss = start(InprocConfig(1), registry)
+        threads = boss._threads
+    else:
+        boss, threads = _start_tcp_with_worker_threads(1, registry, worker_errors)
+    try:
+        with pytest.raises(_Interrupt) as excinfo:
+            boss.run_jobs([Job(1)])
+        assert excinfo.value is interrupt
+        second = []
+        run = threading.Thread(target=_catching, args=(lambda: boss.run_jobs([Job(1)]), second), daemon=True)
+        run.start()
+        run.join(timeout=10)
+        assert not run.is_alive(), "the run after the aborted one hung"
+        assert [(type(e), str(e)) for e in second] == [(LifecycleError, "run_jobs called after an aborted run")]
+    finally:
+        boss.stop()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    if transport == "tcp":  # stop names the error in its ABORT frame
+        assert [(type(e), str(e)) for e in worker_errors] == [(TransportError, "node 0 disconnected: _Interrupt")]
+
+
+class _InterruptedRecv(RecordingEndpoint):
+    """Its first recv raises the given exception before taking a frame."""
+
+    def __init__(self, inner, exc):
+        super().__init__(inner)
+        self.exc = exc
+
+    def recv(self):
+        exc, self.exc = self.exc, None
+        if exc is not None:
+            raise exc
+        return super().recv()
+
+
+def test_a_share_ended_by_any_exception_aborts_the_cluster():
+    # the acknowledgments stay unread: a later run must not take one for a job's result
+    interrupt = _Interrupt()
+    registry = HandlerRegistry(worker={1: lambda job, ctx: None, 2: lambda job, ctx: b"done"})
+    with start(InprocConfig(2), registry) as boss:
+        boss.endpoint = _InterruptedRecv(boss.endpoint, interrupt)
+        with pytest.raises(_Interrupt) as excinfo:
+            boss.share_data(1, b"table")
+        assert excinfo.value is interrupt
+        with pytest.raises(LifecycleError) as excinfo:
+            boss.run_jobs([Job(2)])
+        assert str(excinfo.value) == "run_jobs called after an aborted run"
+    for t in boss._threads:
+        assert not t.is_alive()
+
+
+@pytest.mark.parametrize("frames, text", [
+    ([Frame(MessageKind.JOB_ASSIGN, 1), Frame(MessageKind.STOP)], "stopped while awaiting TASK_RESPONSE"),
+    ([Frame(MessageKind.JOB_ASSIGN, 1), Frame(MessageKind.INFO_RESPONSE)],
+     "expected TASK_RESPONSE, received INFO_RESPONSE"),
+    ([Frame(MessageKind.TASK_RESPONSE, 2)], "worker received unexpected TASK_RESPONSE"),
+], ids=["stop-during-task", "info-response-during-task", "task-response-while-idle"])
+def test_a_worker_ends_on_a_frame_it_does_not_expect(frames, text):
+    boss, worker = inproc_cluster(1)
+    registry = HandlerRegistry(worker={1: lambda job, ctx: ctx.task(Job(2))})
+    thread = threading.Thread(target=runtime._worker_thread_main, args=(worker, registry), daemon=True)
+    thread.start()
+    for frame in frames:
+        boss.send(1, frame)
+    if frames[0].kind is MessageKind.JOB_ASSIGN:  # the handler asks for its task first
+        assert boss.recv() == (1, Frame(MessageKind.TASK_REQUEST, 2))
+    with pytest.raises(TransportError) as excinfo:
+        boss.recv()
+    assert str(excinfo.value) == f"node 1 disconnected: {text}"
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    boss.close()
+
+
 def test_context_invalid_outside_invocation():
     escaped = []
 

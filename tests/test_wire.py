@@ -87,6 +87,18 @@ def test_unknown_kind_rejected():
         read_frame(io.BytesIO(bytes(data)))
 
 
+def _with_reserved_byte_set(frame: Frame) -> bytes:
+    data = bytearray(encode_frame(frame))
+    data[4] = 1
+    return bytes(data)
+
+
+def test_reserved_header_byte_rejected():
+    with pytest.raises(ProtocolError) as excinfo:
+        read_frame(io.BytesIO(_with_reserved_byte_set(Frame(MessageKind.STOP))))
+    assert str(excinfo.value) == "reserved header byte must be zero"
+
+
 def test_truncated_payload_rejected():
     header = encode_frame(Frame(MessageKind.JOB_ASSIGN, 1, b"0123456789"))[:13]
     with pytest.raises(TruncationError):
@@ -170,10 +182,27 @@ def test_worker_cannot_broadcast():
         w1.broadcast(Frame(MessageKind.STOP))
 
 
-def test_send_to_unknown_node():
-    boss, _ = inproc_cluster(1)
-    with pytest.raises(TransportError):
-        boss.send(7, Frame(MessageKind.STOP))
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_send_to_unknown_node(transport):
+    boss, workers = (inproc_cluster(1)[0], []) if transport == "inproc" else _tcp_pair()
+    try:
+        with pytest.raises(TransportError) as excinfo:
+            boss.send(7, Frame(MessageKind.STOP))
+        assert str(excinfo.value) == "node 0 has no channel to node 7"
+    finally:
+        for endpoint in [boss, *workers]:
+            endpoint.close()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_recv_on_a_closed_endpoint_raises(transport):
+    boss, workers = (inproc_cluster(1)[0], []) if transport == "inproc" else _tcp_pair()
+    boss.close()
+    for worker in workers:
+        worker.close()
+    with pytest.raises(TransportError) as excinfo:
+        boss.recv()
+    assert str(excinfo.value) == "endpoint is closed"
 
 
 def test_closed_peer_detected():
@@ -486,6 +515,18 @@ def test_tcp_worker_returns_whole_frames_in_order(writes):
         reader.join(5)
         assert not reader.is_alive(), "the worker did not return both frames"
         assert received == [(0, frame) for frame in frames]
+    finally:
+        boss.close()
+        worker.close()
+
+
+def test_tcp_worker_reports_a_reserved_header_byte_as_a_lost_boss():
+    boss, (worker,) = _tcp_pair()
+    try:
+        boss._peers[1].sendall(_with_reserved_byte_set(Frame(MessageKind.JOB_ASSIGN, 1, b"job")))
+        outcome = _recv_outcome(worker)
+        assert isinstance(outcome, TransportError)
+        assert str(outcome) == "node 0 disconnected: reserved header byte must be zero"
     finally:
         boss.close()
         worker.close()
