@@ -108,22 +108,21 @@ class TcpWorkerConfig:
 
 
 class WorkerContext:
-    """Handle passed to a worker handler for the duration of one
-    invocation.  store persists per worker across invocations."""
+    """Handle passed to a worker handler for one invocation: node_id is
+    its endpoint's, and store persists per worker across invocations."""
 
-    __slots__ = ("node_id", "store", "_endpoint", "_during_share", "_active")
+    __slots__ = ("node_id", "store", "_endpoint", "_handling")
 
-    def __init__(self, endpoint: Endpoint, store: dict, during_share: bool):
+    def __init__(self, endpoint: Endpoint, store: dict, kind: MessageKind):
         self.node_id = endpoint.node_id
         self.store = store
         self._endpoint = endpoint
-        self._during_share = during_share
-        self._active = True
+        self._handling: MessageKind | None = kind  # the frame whose handler runs; None once it returns
 
     def _check(self, op: str) -> None:
-        if not self._active:
+        if self._handling is None:
             raise LifecycleError(f"{op} called outside a handler invocation")
-        if self._during_share:
+        if self._handling is _SHARE:
             raise LifecycleError(f"{op} is not available while handling a data share")
 
     def submit(self, job: Job) -> None:
@@ -193,14 +192,14 @@ def _worker_loop(endpoint: Endpoint, registry: HandlerRegistry) -> None:
             if kind is _STOP:
                 break
             if kind is _ASSIGN or kind is _SHARE:
-                ctx = WorkerContext(endpoint, store, during_share=kind is _SHARE)
+                ctx = WorkerContext(endpoint, store, kind)
                 try:
                     # data shares are acknowledged, not answered
                     result = _call_handler(handlers, "worker handler", frame.job_type,
                                            Job(frame.job_type, frame.payload), ctx,
                                            reply=kind is _ASSIGN)
                 finally:
-                    ctx._active = False
+                    ctx._handling = None
                 send(BOSS_ID, Frame(_RESULT, frame.job_type, result))
             else:
                 raise ProtocolError(f"worker received unexpected {kind.name}")
@@ -220,27 +219,26 @@ def _worker_thread_main(endpoint: Endpoint, registry: HandlerRegistry) -> None:
 
 
 class Boss:
-    """Supervision handle returned by start() on node 0."""
+    """Supervision handle returned by start() on node 0; its workers are its endpoint's peers."""
 
-    def __init__(self, endpoint: Endpoint, total_workers: int, registry: HandlerRegistry,
+    def __init__(self, endpoint: Endpoint, registry: HandlerRegistry,
                  worker_threads: Iterable[threading.Thread] = ()):
         self.endpoint = endpoint
-        self.total_workers = total_workers
         self.registry = registry
         self.samples = LoadLog()
-        self._idle = set(range(1, total_workers + 1))
+        self._idle = set(endpoint._peers)
+        self.total_workers = len(self._idle)
         # the live queue, one column per Job field, so a queued job costs two deque slots
         self._types: deque[int] = deque()
         self._payloads: deque[bytes] = deque()
         self._supervising = False
         self._stopped = False
-        self._abort_reason: str | None = None  # set once a run or a share fails
         self._threads = list(worker_threads)
         # a run is served by one thread at a time under _lock (flat combining,
         # Hendler et al., SPAA 2010); run_jobs waits for _done
         self._lock = threading.Lock()
         self._outqueue, self._t0, self._done = deque(), 0.0, None  # a run's results, start and end
-        self._error: BaseException | None = None  # what failed the run
+        self._error: BaseException | None = None  # what failed a run or a share: the cluster is dead
         self._ready = endpoint._inbox.qsize if isinstance(endpoint, InprocEndpoint) else None
         if self._ready is not None:
             endpoint.on_delivery = self._serve_delivered
@@ -258,7 +256,7 @@ class Boss:
             raise LifecycleError(f"{op} called after stop")
         if self._supervising:
             raise LifecycleError(f"{op} called while supervision is in progress")
-        if self._abort_reason is not None and not allow_aborted:
+        if self._error is not None and not allow_aborted:
             raise LifecycleError(f"{op} called after an aborted run")
 
     def run_jobs(self, jobs: Iterable[Job] = ()) -> deque[Job]:
@@ -285,10 +283,10 @@ class Boss:
         try:
             self._serve_delivered(first=True)
             self._done.wait()
-            if self._error is not None:  # it aborts the cluster, so no later run sees it
+            if self._error is not None:
                 raise self._error
         except BaseException as exc:
-            self._abort_reason = str(exc) or type(exc).__name__
+            self._error = exc
             raise
         finally:
             self._supervising = False
@@ -374,7 +372,7 @@ class Boss:
                         f"expected an empty data-share acknowledgment from worker {src}, got {frame.kind.name}"
                     )
         except BaseException as exc:
-            self._abort_reason = str(exc) or type(exc).__name__
+            self._error = exc
             raise
 
     def stop(self) -> None:
@@ -384,11 +382,12 @@ class Boss:
         the workers the error that ended the run."""
         self._require_open("stop", allow_aborted=True)
         self._stopped = True
+        exc = self._error
         try:
-            if self._abort_reason is None:
+            if exc is None:
                 self.endpoint.broadcast(Frame(MessageKind.STOP))
         finally:
-            self.endpoint.close(self._abort_reason)
+            self.endpoint.close(None if exc is None else str(exc) or type(exc).__name__)
             for thread in self._threads:
                 thread.join(timeout=10)
 
@@ -419,7 +418,7 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
         threads = [threading.Thread(target=_worker_thread_main, args=(endpoint, registry),
                                     name=f"parqueue-worker-{endpoint.node_id}", daemon=True)
                    for endpoint in endpoints[1:]]
-        boss = Boss(endpoints[0], config.workers, registry, threads)  # hooks node 0 before workers run
+        boss = Boss(endpoints[0], registry, threads)  # hooks node 0 before workers run
         for thread in threads:
             thread.start()
         return boss
@@ -427,7 +426,7 @@ def start(config: ClusterConfig, registry: HandlerRegistry) -> Boss | None:
         raise ValueError(f"timeout must be a finite number of seconds above zero, got {config.timeout!r}")
     if isinstance(config, TcpBossConfig):
         endpoint = TcpBossEndpoint(config.listen, config.workers, config.timeout)
-        return Boss(endpoint, config.workers, registry)
+        return Boss(endpoint, registry)
     if isinstance(config, TcpWorkerConfig):
         endpoint = TcpWorkerEndpoint(config.connect, config.timeout)
         _worker_loop(endpoint, registry)

@@ -272,7 +272,8 @@ class TcpEndpoint(Endpoint):
                     self._receive(key)
         src, frame = arrived.popleft()
         if frame.kind is _ABORT:
-            raise TransportError(f"node {src} disconnected: {frame.payload.decode('utf-8', 'replace')}")
+            detail = f": {frame.payload.decode('utf-8', 'replace')}" if frame.payload else ""
+            raise TransportError(f"node {src} disconnected{detail}")
         return src, frame
 
     def _receive(self, key: selectors.SelectorKey) -> None:
@@ -339,9 +340,12 @@ def TcpBossEndpoint(listen: str, workers: int, timeout: float) -> TcpEndpoint:
                 ) from None
             except OSError as exc:
                 raise StartupError(f"accept failed: {exc}") from exc
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             peers[node_id] = conn
-            conn.sendall(encode_frame(Frame(MessageKind.INFO_RESPONSE, node_id)))
+            try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.sendall(encode_frame(Frame(MessageKind.INFO_RESPONSE, node_id)))
+            except OSError as exc:
+                raise StartupError(f"handshake with worker {node_id} failed: {exc}") from exc
     except BaseException:
         for conn in peers.values():
             conn.close()

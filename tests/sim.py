@@ -245,7 +245,7 @@ class SimCluster:
             threads.append(thread)
             if not self.parked.acquire(timeout=10):
                 raise ScheduleFailed(f"worker {worker.node_id} did not start by calling recv")
-        self.boss = Boss(boss, workers, registry, threads)
+        self.boss = Boss(boss, registry, threads)
 
     def hand_on(self) -> None:
         """The baton holder blocks or closes: deliver the next frame."""

@@ -9,7 +9,7 @@ import pytest
 from support import random_value, values_equal
 
 import parqueue
-from parqueue.codec import TAG_FLOAT, TAG_UINT, decode, decode_prefix, encode
+from parqueue.codec import TAG_FLOAT, TAG_RECORD, TAG_UINT, decode, decode_prefix, encode
 from parqueue.errors import EncodingError, MalformedPayloadError, TruncationError
 
 
@@ -96,6 +96,19 @@ def test_duplicate_record_field_rejected():
     doubled = good[:1] + (2).to_bytes(4, "little") + good[5:] + good[5:]
     with pytest.raises(MalformedPayloadError):
         decode(doubled)
+
+
+def test_record_field_name_that_is_not_utf8_rejected():
+    one = (1).to_bytes(4, "little")
+    with pytest.raises(MalformedPayloadError) as excinfo:
+        decode(bytes([TAG_RECORD]) + one + one + b"\xff" + encode(1))
+    assert str(excinfo.value) == "record field name is not valid UTF-8"
+
+
+def test_record_field_name_that_cannot_be_utf8_rejected_on_encode():
+    with pytest.raises(EncodingError) as excinfo:
+        encode({"\ud800": 1})
+    assert str(excinfo.value).startswith("record field name is not encodable: ")
 
 
 def test_heterogeneous_sequence_rejected_on_encode():

@@ -133,6 +133,18 @@ def test_scaling_report_requires_baseline():
         scaling_report(lambda w: 1.0, [2, 4])
 
 
+def test_scaling_report_rejects_a_count_below_one():
+    with pytest.raises(ValueError) as excinfo:
+        scaling_report(lambda w: 1.0, [1, 0])
+    assert str(excinfo.value) == "worker counts must be at least 1"
+
+
+def test_measure_queens_run_rejects_an_unknown_transport():
+    with pytest.raises(ValueError) as excinfo:
+        measure_queens_run(4, 2, 1, "udp")
+    assert str(excinfo.value) == "unknown transport 'udp'"
+
+
 def test_tables_render():
     overhead = format_overhead_table(
         [OverheadReport(100, 0, 8, 0.01, 0.2), OverheadReport(400, 1000, 8, 0.01, 0.9)]

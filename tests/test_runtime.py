@@ -298,7 +298,7 @@ def _boss_with_raw_workers(transport, workers):
     """A Boss on node 0 whose worker endpoints the test drives by hand."""
     if transport == "inproc":
         endpoints = inproc_cluster(workers)
-        return Boss(endpoints[0], workers, HandlerRegistry()), endpoints[1:]
+        return Boss(endpoints[0], HandlerRegistry()), endpoints[1:]
     addr = f"127.0.0.1:{pick_free_port()}"
     boss = []
     acceptor = threading.Thread(target=lambda: boss.append(start(TcpBossConfig(addr, workers, 10),
@@ -370,6 +370,52 @@ def test_tcp_timeout_must_be_finite_and_above_zero(monkeypatch, config, timeout)
     monkeypatch.setattr(socket, "create_connection", no_socket)
     with pytest.raises(ValueError, match=f"^timeout must be a finite number of seconds above zero, got {timeout}$"):
         start(config(timeout), HandlerRegistry())
+
+
+@pytest.mark.parametrize("config, error, text", [
+    (TcpBossConfig("nope", 1), ValueError, "address 'nope' is not host:port"),
+    (InprocConfig(-1), ValueError, "worker count must not be negative"),
+    (object(), TypeError, "unknown cluster config object"),
+], ids=["bad-address", "negative-workers", "unknown-config"])
+def test_start_rejects_a_bad_config(config, error, text):
+    with pytest.raises(error) as excinfo:
+        start(config, HandlerRegistry())
+    assert str(excinfo.value) == text
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_boss_takes_its_workers_from_its_endpoint(transport):
+    boss, workers = _boss_with_raw_workers(transport, 3)
+    try:
+        assert boss.total_workers == boss.idle_workers == 3
+    finally:
+        boss.endpoint.close()
+        for worker in workers:
+            worker.close()
+
+
+class _FailingBroadcast(RecordingEndpoint):
+    def broadcast(self, frame):
+        raise TransportError("broadcast failed")
+
+
+def test_a_failing_stop_does_not_hide_the_with_body_error():
+    with pytest.raises(RuntimeError, match="^body failed$"):
+        with start(InprocConfig(1), HandlerRegistry()) as boss:
+            boss.endpoint = _FailingBroadcast(boss.endpoint)
+            raise RuntimeError("body failed")
+    assert boss._stopped
+    for t in boss._threads:
+        assert not t.is_alive()
+
+
+def test_a_failing_stop_propagates_from_a_clean_with_body():
+    with pytest.raises(TransportError, match="^broadcast failed$"):
+        with start(InprocConfig(1), HandlerRegistry()) as boss:
+            boss.endpoint = _FailingBroadcast(boss.endpoint)
+    assert boss._stopped
+    for t in boss._threads:
+        assert not t.is_alive()
 
 
 def test_queued_job_costs_the_boss_under_24_bytes():
@@ -553,6 +599,28 @@ def test_submit_during_data_share_is_lifecycle_error():
     with start(InprocConfig(1), registry) as boss:
         with pytest.raises(TransportError, match="data share"):
             boss.share_data(2, b"x")
+
+
+def test_a_context_names_why_it_refuses_a_call():
+    escaped = []
+
+    def handler(job, ctx):
+        escaped.append(ctx)
+
+    def sharing(job, ctx):
+        ctx.task(Job(1))
+
+    registry = HandlerRegistry(worker={1: handler, 2: sharing})
+    with start(InprocConfig(1), registry) as boss:
+        boss.run_jobs([Job(1)])
+        for call, op in [(lambda ctx: ctx.submit(Job(1)), "submit"), (lambda ctx: ctx.task(Job(1)), "task"),
+                         (lambda ctx: ctx.info(), "info")]:
+            with pytest.raises(LifecycleError) as excinfo:
+                call(escaped[0])
+            assert str(excinfo.value) == f"{op} called outside a handler invocation"
+        with pytest.raises(TransportError) as excinfo:
+            boss.share_data(2, b"x")
+        assert str(excinfo.value) == "node 1 disconnected: task is not available while handling a data share"
 
 
 def test_run_jobs_reentrancy_rejected():

@@ -1,6 +1,7 @@
 """End-to-end runs over the TCP backend on localhost."""
 
 import os
+import selectors
 import socket
 import subprocess
 import sys
@@ -14,9 +15,9 @@ import parqueue
 from parqueue import metrics
 from parqueue.apps import registry_for
 from parqueue.apps.factor import factor
-from parqueue.errors import StartupError
+from parqueue.errors import StartupError, TransportError
 from parqueue.metrics import measure_queens_run, spawn_local_workers
-from parqueue.runtime import TcpBossConfig, TcpWorkerConfig, start
+from parqueue.runtime import HandlerRegistry, Job, TcpBossConfig, TcpWorkerConfig, start
 from parqueue.wire import MessageKind, pick_free_port
 
 
@@ -105,6 +106,13 @@ def test_measure_queens_run_kills_its_workers_when_the_boss_cannot_start(monkeyp
     assert all(proc.poll() is not None for proc in spawned)
 
 
+def test_registry_for_names_an_unknown_application():
+    with pytest.raises(ValueError) as excinfo:
+        registry_for("nope")
+    assert str(excinfo.value) == "unknown application 'nope'"
+    assert registry_for("matsquare").boss_task
+
+
 def test_missing_worker_times_out_with_startup_error():
     port = pick_free_port()
     with pytest.raises(StartupError):
@@ -137,3 +145,104 @@ def test_tcp_and_inproc_produce_identical_boss_traces():
     assert inproc_counts[("send", MessageKind.JOB_ASSIGN)] == 9
     assert inproc_counts[("recv", MessageKind.JOB_SUBMIT)] == 8
     assert inproc_counts[("recv", MessageKind.JOB_RESULT)] == 9
+
+
+def _python(script, *args):
+    """Start `python -c script args` importing this copy of the package,
+    with stdout and stderr piped as text."""
+    package_root = str(Path(parqueue.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-c", script, *args], env=dict(os.environ, PYTHONPATH=pythonpath),
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _reap(procs):
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=10)
+
+
+_SLOW_WORKER = """
+import sys, time
+from parqueue.runtime import HandlerRegistry, TcpWorkerConfig, start
+
+def slow(job, ctx):
+    print(ctx.node_id, flush=True)
+    time.sleep(60)
+
+start(TcpWorkerConfig(sys.argv[1], timeout=10), HandlerRegistry(worker={1: slow}))
+"""
+
+
+def test_a_worker_process_killed_mid_job_ends_the_run_naming_it():
+    addr = f"127.0.0.1:{pick_free_port()}"
+    procs = [_python(_SLOW_WORKER, addr) for _ in range(2)]
+    try:
+        boss = start(TcpBossConfig(addr, 2, timeout=10), HandlerRegistry())
+        errors = []
+
+        def run():
+            try:
+                boss.run_jobs([Job(1)])
+            except TransportError as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        with selectors.DefaultSelector() as selector:
+            for proc in procs:
+                selector.register(proc.stdout, selectors.EVENT_READ, proc)
+            ready = selector.select(timeout=10)
+        assert ready, "no worker started the job"
+        busy = ready[0][0].data
+        node = int(busy.stdout.readline())
+        busy.kill()
+        runner.join(10)
+        assert not runner.is_alive(), "the run hung after its worker died"
+        assert len(errors) == 1 and str(errors[0]).startswith(f"node {node} disconnected:")
+        boss.stop()
+        (other,) = [proc for proc in procs if proc is not busy]
+        other.wait(timeout=10)
+    finally:
+        _reap(procs)
+
+
+_SHARING_BOSS = """
+import sys
+from parqueue.runtime import HandlerRegistry, TcpBossConfig, start
+
+start(TcpBossConfig(sys.argv[1], 1, timeout=10), HandlerRegistry()).share_data(1, b"table")
+"""
+
+
+def test_a_boss_process_killed_during_a_data_share_ends_the_worker_naming_it():
+    addr = f"127.0.0.1:{pick_free_port()}"
+    sharing, killed = threading.Event(), threading.Event()
+
+    def share(job, ctx):
+        sharing.set()
+        killed.wait(10)
+
+    errors = []
+
+    def work():
+        try:
+            start(TcpWorkerConfig(addr, timeout=10), HandlerRegistry(worker={1: share}))
+        except TransportError as exc:
+            errors.append(exc)
+
+    boss = _python(_SHARING_BOSS, addr)
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        assert sharing.wait(10), "the worker never ran its share handler"
+        boss.kill()
+        boss.wait(timeout=10)
+        killed.set()
+        worker.join(10)
+        assert not worker.is_alive(), "the worker hung after its boss died"
+        assert len(errors) == 1 and "node 0" in str(errors[0]), errors
+    finally:
+        killed.set()
+        _reap([boss])

@@ -1,3 +1,4 @@
+import errno
 import io
 import socket
 import threading
@@ -17,6 +18,7 @@ from parqueue.errors import (
     TruncationError,
 )
 from parqueue.wire import (
+    BOSS_ID,
     HEADER,
     HEADER_SIZE,
     MAGIC,
@@ -25,6 +27,7 @@ from parqueue.wire import (
     Frame,
     MessageKind,
     TcpBossEndpoint,
+    TcpEndpoint,
     TcpWorkerEndpoint,
     encode_frame,
     inproc_cluster,
@@ -585,3 +588,98 @@ def test_tcp_boss_partial_frame_stalls_no_other_peer():
         boss.close()
         stalled.close()
         worker.close()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_close_with_no_reason_reads_the_same_on_both_transports(transport):
+    if transport == "inproc":
+        boss, worker = inproc_cluster(1)
+        worker.close()
+    else:  # a raw peer sends the ABORT frame a close with no reason would carry
+        mine, peer = socket.socketpair()
+        boss = TcpEndpoint(BOSS_ID, {1: mine})
+        peer.sendall(encode_frame(Frame(MessageKind.ABORT, 0, b"")))
+        peer.close()
+    try:
+        outcome = _recv_outcome(boss)
+        assert isinstance(outcome, TransportError)
+        assert str(outcome) == "node 1 disconnected"
+    finally:
+        boss.close()
+
+
+def test_tcp_send_to_a_closed_peer_names_the_node():
+    mine, peer = socket.socketpair()
+    boss = TcpEndpoint(BOSS_ID, {1: mine})
+    peer.close()
+    try:
+        with pytest.raises(TransportError) as excinfo:
+            boss.send(1, Frame(MessageKind.STOP))
+        assert str(excinfo.value) == "send to node 1 failed: [Errno 32] Broken pipe"
+    finally:
+        boss.close()
+
+
+def test_a_second_inproc_close_sends_no_second_abort():
+    boss, worker = inproc_cluster(1)
+    worker.close("done")
+    worker.close("again")
+    assert boss._inbox.qsize() == 1
+    boss.close()
+
+
+def test_a_failed_handshake_send_is_a_startup_error_and_closes_every_socket(monkeypatch):
+    # worker 1 gets its handshake; the send to worker 2 fails
+    port = pick_free_port()
+    sendall = socket.socket.sendall
+
+    def failing_sendall(sock, data, *args):
+        if data == encode_frame(Frame(MessageKind.INFO_RESPONSE, 2)):
+            raise ConnectionResetError(errno.ECONNRESET, "Connection reset by peer")
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", failing_sendall)
+    outcome = []
+
+    def accept():
+        try:
+            TcpBossEndpoint(f"127.0.0.1:{port}", 2, 10)
+        except Exception as exc:
+            outcome.append(exc)
+
+    acceptor = threading.Thread(target=accept)
+    acceptor.start()
+    clients = []
+    try:
+        for _ in range(2):
+            clients.append(_connect_when_listening(port))
+        acceptor.join(10)
+        assert not acceptor.is_alive()
+        assert [(type(e), str(e)) for e in outcome] == [
+            (StartupError, "handshake with worker 2 failed: [Errno 104] Connection reset by peer")]
+        # each accepted socket is closed, after the handshake it got, if any
+        assert [_read_to_end(client) for client in clients] == [
+            encode_frame(Frame(MessageKind.INFO_RESPONSE, 1)), b""]
+        with pytest.raises(ConnectionRefusedError):  # and the listener
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    finally:
+        for client in clients:
+            client.close()
+
+
+def _read_to_end(sock):
+    received = b""
+    while chunk := sock.recv(64):
+        received += chunk
+    return received
+
+
+def _connect_when_listening(port, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            return socket.create_connection(("127.0.0.1", port), timeout=timeout)
+        except ConnectionRefusedError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.02)
