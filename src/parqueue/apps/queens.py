@@ -44,12 +44,11 @@ def parse_place_payload(data: bytes) -> tuple[int, int, list[int]]:
     return seq[0], seq[1], seq[2:]
 
 
-def count_from(row, size: int, overflow: int, spill: Callable, probe: Callable | None = None) -> int:
+def count_from(row, size: int, overflow: int, spill: Callable) -> int:
     """Count completed boards reachable from one partial placement.
 
     spill(row) is called to shed the oldest stack entry whenever the
-    stack has reached overflow at the top of the loop; probe, when
-    given, observes the stack length after spilling (test hook).
+    stack has reached overflow at the top of the loop.
     Stack entries cache the column/diagonal occupancy masks so each
     candidate square is a few bit tests.
     """
@@ -65,8 +64,6 @@ def count_from(row, size: int, overflow: int, spill: Callable, probe: Callable |
     while stack:
         while len(stack) >= overflow:
             spill(stack.pop(0)[0])
-        if probe is not None:
-            probe(len(stack))
         row, cols, d1, d2 = stack.pop()
         k = len(row)
         free = ~(cols | (d1 >> k) | (d2 >> (size - k))) & board

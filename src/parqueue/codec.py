@@ -39,23 +39,6 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 
-def _tag_of(value) -> int:
-    # bool is an int subclass but has no payload representation
-    if isinstance(value, bool):
-        raise EncodingError("bool is not an encodable value")
-    if isinstance(value, int):
-        return TAG_UINT if value >= 0 else TAG_INT
-    if isinstance(value, float):
-        return TAG_FLOAT
-    if isinstance(value, (bytes, bytearray)):
-        return TAG_BYTES
-    if isinstance(value, list):
-        return TAG_SEQ
-    if isinstance(value, dict):
-        return TAG_RECORD
-    raise EncodingError(f"cannot encode values of type {type(value).__name__}")
-
-
 def encode(value: Value) -> bytes:
     """Return the unique canonical byte form of *value*.
 
@@ -112,30 +95,34 @@ def _pack_scalars(items: list) -> bytes | None:
 
 
 def _write(out: bytearray, value) -> None:
-    tag = _tag_of(value)
-    if tag == TAG_UINT:
+    # bool is an int subclass but has no payload representation
+    if isinstance(value, bool):
+        raise EncodingError("bool is not an encodable value")
+    if isinstance(value, int) and value >= 0:
         if value > _U64_MAX:
             raise EncodingError(f"integer {value} exceeds the unsigned 64-bit range")
         out.append(TAG_UINT)
         out += _U64.pack(value)
-    elif tag == TAG_INT:
+    elif isinstance(value, int):
         if value < _I64_MIN:
             raise EncodingError(f"integer {value} exceeds the signed 64-bit range")
         out.append(TAG_INT)
         out += _I64.pack(value)
-    elif tag == TAG_FLOAT:
+    elif isinstance(value, float):
         out.append(TAG_FLOAT)
         out += _F64.pack(value)
-    elif tag == TAG_BYTES:
+    elif isinstance(value, (bytes, bytearray)):
         if len(value) > _U32_MAX:
             raise EncodingError("byte string exceeds the 32-bit length prefix")
         out.append(TAG_BYTES)
         out += _U32.pack(len(value))
         out += value
-    elif tag == TAG_SEQ:
+    elif isinstance(value, list):
         _write_seq(out, value)
-    else:
+    elif isinstance(value, dict):
         _write_record(out, value)
+    else:
+        raise EncodingError(f"cannot encode values of type {type(value).__name__}")
 
 
 def _write_seq(out: bytearray, items: list) -> None:
@@ -148,32 +135,32 @@ def _write_seq(out: bytearray, items: list) -> None:
         return
     out.append(TAG_SEQ)
     out += _U32.pack(n)
-    elem_tag = _tag_of(items[0])
-    for item in items[1:]:
-        if _tag_of(item) != elem_tag:
-            raise EncodingError("sequence elements must all be the same kind")
-    for item in items:
+    first = len(out)
+    for item in items:  # the first invalid element, in order, names the error
+        at = len(out)
         _write(out, item)
+        if out[at] != out[first]:
+            raise EncodingError("sequence elements must all be the same kind")
 
 
 def _write_record(out: bytearray, record: dict) -> None:
     if len(record) > _U32_MAX:
         raise EncodingError("record exceeds the 32-bit count prefix")
-    names = []
-    for name in record:
+    fields = []
+    for name, value in record.items():
         if not isinstance(name, str):
             raise EncodingError("record field names must be strings")
         try:
-            names.append(name.encode("utf-8"))
+            fields.append((name.encode("utf-8"), value))
         except UnicodeEncodeError as exc:
             raise EncodingError(f"record field name is not encodable: {exc}") from None
-    names.sort()
+    fields.sort()  # the encoded names are distinct, so values are never compared
     out.append(TAG_RECORD)
-    out += _U32.pack(len(names))
-    for raw in names:
+    out += _U32.pack(len(fields))
+    for raw, value in fields:
         out += _U32.pack(len(raw))
         out += raw
-        _write(out, record[raw.decode("utf-8")])
+        _write(out, value)
 
 
 def decode(payload: bytes) -> Value:
@@ -190,13 +177,6 @@ def decode(payload: bytes) -> Value:
     return value
 
 
-def decode_prefix(data: bytes, offset: int = 0) -> tuple[Value, int]:
-    """Decode exactly one value starting at *offset*; return it and the
-    offset one past its final byte.  Lets a stream of concatenated
-    encodings be consumed one value at a time."""
-    return _read(data, offset)
-
-
 def _need(data: bytes, offset: int, count: int) -> None:
     if offset + count > len(data):
         raise TruncationError(
@@ -204,7 +184,10 @@ def _need(data: bytes, offset: int, count: int) -> None:
         )
 
 
-def _read(data: bytes, offset: int):
+def decode_prefix(data: bytes, offset: int = 0) -> tuple[Value, int]:
+    """Decode exactly one value starting at *offset*; return it and the
+    offset one past its final byte.  Lets a stream of concatenated
+    encodings be consumed one value at a time."""
     _need(data, offset, 1)
     tag = data[offset]
     offset += 1
@@ -264,7 +247,7 @@ def _read_seq(data: bytes, offset: int):
         _need(data, offset, 1)
         if data[offset] != elem_tag:
             raise MalformedPayloadError("sequence elements must all be the same kind")
-        item, offset = _read(data, offset)
+        item, offset = decode_prefix(data, offset)
         items.append(item)
     return items, offset
 
@@ -291,6 +274,6 @@ def _read_record(data: bytes, offset: int):
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedPayloadError("record field name is not valid UTF-8") from None
-        value, offset = _read(data, offset)
+        value, offset = decode_prefix(data, offset)
         record[name] = value
     return record, offset

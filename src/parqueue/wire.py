@@ -346,9 +346,8 @@ def TcpBossEndpoint(listen: str, workers: int, timeout: float) -> TcpEndpoint:
                 conn.sendall(encode_frame(Frame(MessageKind.INFO_RESPONSE, node_id)))
             except OSError as exc:
                 raise StartupError(f"handshake with worker {node_id} failed: {exc}") from exc
-    except BaseException:
-        for conn in peers.values():
-            conn.close()
+    except BaseException as exc:
+        TcpEndpoint(BOSS_ID, peers).close(str(exc))  # each connected worker reads why
         raise
     finally:
         listener.close()

@@ -138,6 +138,25 @@ def test_integer_range_limits():
         encode([1, 2, 2**64])
 
 
+def test_a_sequence_with_an_invalid_element_names_the_first_one():
+    # [1] and 2**70 differ in kind, but 2**70 cannot be written at all
+    with pytest.raises(EncodingError) as excinfo:
+        encode([[1], 2**70])
+    assert str(excinfo.value) == f"integer {2**70} exceeds the unsigned 64-bit range"
+
+
+@pytest.mark.parametrize("kind, message", [
+    (bytes, "byte string exceeds the 32-bit length prefix"),
+    (list, "sequence exceeds the 32-bit count prefix"),
+    (dict, "record exceeds the 32-bit count prefix"),
+])
+def test_a_length_beyond_the_32_bit_prefix_is_rejected(kind, message):
+    huge = type(f"Huge{kind.__name__}", (kind,), {"__len__": lambda self: 2**32})()
+    with pytest.raises(EncodingError) as excinfo:
+        encode(huge)
+    assert str(excinfo.value) == message
+
+
 def test_unsupported_types_rejected():
     for bad in (True, None, "text", (1, 2), {1: 2}, object()):
         with pytest.raises(EncodingError):

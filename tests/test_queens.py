@@ -1,4 +1,6 @@
+import inspect
 import os
+import sys
 
 import pytest
 import sim
@@ -91,10 +93,24 @@ def test_job_graph_frames_match_on_both_transports():
 
 
 def test_local_stack_never_exceeds_overflow_at_loop_top():
+    # a line trace reads the stack's length each time the loop pops its next entry
+    lines, first = inspect.getsourcelines(count_from)
+    pop_line = first + next(i for i, line in enumerate(lines) if "= stack.pop()" in line)
     for overflow in (2, 3, 8):
         observed = []
-        count_from([], 7, overflow, lambda row: None, probe=observed.append)
-        assert max(observed) < overflow
+
+        def trace(frame, event, arg):
+            if event == "line" and frame.f_lineno == pop_line:
+                observed.append(len(frame.f_locals["stack"]))
+            return trace if frame.f_code is count_from.__code__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            count_from([], 7, overflow, lambda row: None)
+        finally:
+            sys.settrace(previous)
+        assert observed and max(observed) < overflow
 
 
 def test_spill_sheds_oldest_entries_first():

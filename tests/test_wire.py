@@ -4,6 +4,7 @@ import socket
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -34,6 +35,16 @@ from parqueue.wire import (
     pick_free_port,
     read_frame,
 )
+
+
+@pytest.mark.parametrize("frame", [
+    Frame(MessageKind.STOP),
+    Frame(MessageKind.JOB_ASSIGN, 1, b"\x01\x02\x03"),
+    Frame(MessageKind.ABORT, 0, b"boom"),
+], ids=["stop", "job-assign", "abort"])
+def test_the_wire_format_document_shows_each_example_frame(frame):
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "wire-format.md").read_text()
+    assert encode_frame(frame).hex(" ").upper() in doc
 
 
 def test_stop_frame_golden_bytes():
@@ -260,6 +271,51 @@ def test_tcp_accept_timeout_is_startup_error():
     port = pick_free_port()
     with pytest.raises(StartupError):
         TcpBossEndpoint(f"127.0.0.1:{port}", workers=1, timeout=0.3)
+
+
+def test_tcp_boss_rejects_a_negative_worker_count():
+    with pytest.raises(ValueError, match="^worker count must not be negative$"):
+        TcpBossEndpoint("127.0.0.1:0", -1, 1.0)
+
+
+def test_a_failed_accept_is_a_startup_error_and_closes_the_listener(monkeypatch):
+    def failing_accept(sock):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(socket.socket, "accept", failing_accept)
+    port = pick_free_port()
+    with pytest.raises(StartupError) as excinfo:
+        TcpBossEndpoint(f"127.0.0.1:{port}", 1, 5)
+    assert str(excinfo.value) == "accept failed: [Errno 24] Too many open files"
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
+def test_a_failed_boss_setup_tells_each_connected_worker_why():
+    # worker 1 of 2 connects; the boss times out waiting for worker 2
+    addr = f"127.0.0.1:{pick_free_port()}"
+    outcome = []
+
+    def accept():
+        try:
+            TcpBossEndpoint(addr, 2, 1.0)
+        except Exception as exc:
+            outcome.append(exc)
+
+    acceptor = threading.Thread(target=accept)
+    acceptor.start()
+    worker = TcpWorkerEndpoint(addr, 5)
+    try:
+        assert worker.node_id == 1
+        acceptor.join(10)
+        assert not acceptor.is_alive()
+        reason = "timed out waiting for worker 2 of 2 to connect"
+        assert [(type(e), str(e)) for e in outcome] == [(StartupError, reason)]
+        with pytest.raises(TransportError) as excinfo:  # the boss closed its end: this cannot block
+            worker.recv()
+        assert str(excinfo.value) == f"node 0 disconnected: {reason}"
+    finally:
+        worker.close()
 
 
 def test_tcp_connect_timeout_is_startup_error():
@@ -657,9 +713,10 @@ def test_a_failed_handshake_send_is_a_startup_error_and_closes_every_socket(monk
         assert not acceptor.is_alive()
         assert [(type(e), str(e)) for e in outcome] == [
             (StartupError, "handshake with worker 2 failed: [Errno 104] Connection reset by peer")]
-        # each accepted socket is closed, after the handshake it got, if any
+        # each accepted socket reads the handshake it got, if any, then one ABORT naming the error
+        abort = encode_frame(Frame(MessageKind.ABORT, 0, str(outcome[0]).encode()))
         assert [_read_to_end(client) for client in clients] == [
-            encode_frame(Frame(MessageKind.INFO_RESPONSE, 1)), b""]
+            encode_frame(Frame(MessageKind.INFO_RESPONSE, 1)) + abort, abort]
         with pytest.raises(ConnectionRefusedError):  # and the listener
             socket.create_connection(("127.0.0.1", port), timeout=5).close()
     finally:
