@@ -41,7 +41,6 @@ from .wire import (
     BOSS_ID,
     Endpoint,
     Frame,
-    InprocEndpoint,
     MessageKind,
     TcpBossEndpoint,
     TcpWorkerEndpoint,
@@ -239,7 +238,7 @@ class Boss:
         self._lock = threading.Lock()
         self._outqueue, self._t0, self._done = deque(), 0.0, None  # a run's results, start and end
         self._error: BaseException | None = None  # what failed a run or a share: the cluster is dead
-        self._ready = endpoint._inbox.qsize if isinstance(endpoint, InprocEndpoint) else None
+        self._ready = endpoint.ready
         if self._ready is not None:
             endpoint.on_delivery = self._serve_delivered
 

@@ -11,16 +11,14 @@ A frame is a 13-byte header followed by the payload bytes:
     9       4     payload length, unsigned 32-bit little-endian, at most MAX_PAYLOAD
     13      len   payload
 
-Two interchangeable backends implement the Endpoint contract: an
-in-process backend linking node threads, and a TCP backend speaking the
-frame grammar over sockets.  Each in-process node receives through one
-inbox that its peers feed directly.  Both TCP ends are one endpoint
-class that starts no thread and parses frames out of a buffer per peer
-socket; read_frame serves only callers holding a byte stream.
-Frames arrive in send order between any pair of nodes.  A lost peer
-surfaces as a TransportError naming the node and its reason (over TCP
-it travels in an ABORT frame, either way), and once every peer is gone recv
-raises rather than blocks (there is no reconnection or failover).
+Endpoint holds the transport rules, so a lost peer reads the same on
+either backend (there is no reconnection or failover); the two
+interchangeable backends only move frames.  The in-process one links
+node threads: each node receives through one inbox that its peers feed
+directly.  The TCP one speaks the frame grammar over sockets: both ends
+are one class that starts no thread and parses frames out of a buffer
+per peer socket; read_frame serves only callers holding a byte stream.
+Frames arrive in send order between any pair of nodes.
 """
 
 from __future__ import annotations
@@ -102,6 +100,11 @@ _KINDS = {int(kind): kind for kind in MessageKind}
 _ABORT = MessageKind.ABORT  # per frame, a global costs far less than an enum attribute
 
 
+def _abort_frame(reason: str | None) -> Frame:
+    """The ABORT frame a close or lost-peer reason travels in."""
+    return Frame(_ABORT, 0, (reason or "").encode("utf-8", "replace"))
+
+
 def _parse_header(data) -> tuple[MessageKind, int, int]:
     """Check the header data starts with; return kind, job type and length."""
     magic, version, kind_code, job_type, length = HEADER.unpack_from(data)
@@ -128,21 +131,48 @@ def read_frame(source: BinaryIO) -> Frame:
 
 
 class Endpoint:
-    """Transport handle owned by one node.
+    """Transport handle owned by one node, and the rules every backend shares.
 
     send/recv pair frames with their source node; broadcast (boss only)
     delivers one frame to every worker, ordered with respect to other
-    boss-to-worker traffic on each channel.
+    boss-to-worker traffic on each channel.  The rules, each raising a
+    TransportError: a closed endpoint reads "endpoint is closed"; a send
+    to an unlisted node, "node N has no channel to node M"; a lost peer
+    reads once as "node N disconnected[: reason]" and is closed from then
+    on; recv with no open peer left reads "all peers disconnected" rather
+    than blocks.  A backend only moves frames: _put(dest, peer, frame)
+    to one peer, _take() blocks for the next (src, frame), an ABORT for
+    a lost peer, and _hang_up(reason) tells the peers on the first close.
     """
 
-    node_id: int
-    _peers: dict  # node id -> what send writes to, in broadcast order
+    # in process, how many frames wait for recv; None where only a blocking recv can tell
+    ready: Callable[[], int] | None = None
+
+    def __init__(self, node_id: int | None, peers: dict):
+        self.node_id = node_id
+        self._peers = peers  # node id -> what _put moves frames to, in broadcast order
+        self._open_peers = len(peers)  # listed peers whose ABORT recv has not yet raised
+        self._closed = False
 
     def send(self, dest: int, frame: Frame) -> None:
-        raise NotImplementedError
+        if self._closed:
+            raise TransportError("endpoint is closed")
+        peer = self._peers.get(dest)
+        if peer is None:
+            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
+        self._put(dest, peer, frame)
 
     def recv(self) -> tuple[int, Frame]:
-        raise NotImplementedError
+        if self._closed:
+            raise TransportError("endpoint is closed")
+        if not self._open_peers:
+            raise TransportError("all peers disconnected")
+        src, frame = self._take()
+        if frame.kind is _ABORT:
+            self._open_peers -= 1
+            detail = f": {frame.payload.decode('utf-8', 'replace')}" if frame.payload else ""
+            raise TransportError(f"node {src} disconnected{detail}")
+        return src, frame
 
     def broadcast(self, frame: Frame) -> None:
         if self.node_id != BOSS_ID:
@@ -151,7 +181,13 @@ class Endpoint:
             self.send(dest, frame)
 
     def close(self, reason: str | None = None) -> None:
-        raise NotImplementedError
+        if not self._closed:
+            self._closed = True
+            self._hang_up(reason)
+
+    def _connect(self, peer: Endpoint) -> None:  # a peer endpoint in this process
+        self._peers[peer.node_id] = peer
+        self._open_peers += 1
 
 
 class InprocEndpoint(Endpoint):
@@ -159,45 +195,22 @@ class InprocEndpoint(Endpoint):
     into its inbox, ending with an ABORT when they close."""
 
     def __init__(self, node_id: int):
-        self.node_id = node_id
+        super().__init__(node_id, {})
         self.on_delivery: Callable[[], None] = lambda: None  # a sender calls it after each delivery
         self._inbox: SimpleQueue = SimpleQueue()
-        self._peers: dict[int, InprocEndpoint] = {}
-        self._open_peers = 0
-        self._closed = False
+        self._take, self.ready = self._inbox.get, self._inbox.qsize
 
-    def _connect(self, peer: InprocEndpoint) -> None:
-        self._peers[peer.node_id] = peer
-        self._open_peers += 1
-
-    def send(self, dest: int, frame: Frame) -> None:
-        peer = self._peers.get(dest)
-        if peer is None:
-            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
+    def _put(self, dest: int, peer: InprocEndpoint, frame: Frame) -> None:
         if peer._closed:
             raise TransportError(f"node {dest} is closed")
         peer._inbox.put((self.node_id, frame))
         peer.on_delivery()
 
-    def recv(self) -> tuple[int, Frame]:
-        if self._closed:
-            raise TransportError("endpoint is closed")
-        if not self._open_peers:
-            raise TransportError("all peers disconnected")
-        src, item = self._inbox.get()
-        if item.kind is _ABORT:
-            self._open_peers -= 1
-            detail = f": {item.payload.decode('utf-8', 'replace')}" if item.payload else ""
-            raise TransportError(f"node {src} disconnected{detail}")
-        return src, item
-
-    def close(self, reason: str | None = None) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def _hang_up(self, reason: str | None) -> None:
         self.on_delivery = lambda: None  # let go of the boss: nothing is delivered here now
+        abort = (self.node_id, _abort_frame(reason))
         for peer in self._peers.values():
-            peer._inbox.put((self.node_id, Frame(_ABORT, 0, (reason or "").encode("utf-8", "replace"))))
+            peer._inbox.put(abort)
             peer.on_delivery()
 
 
@@ -234,47 +247,35 @@ class TcpEndpoint(Endpoint):
     """One node's side of the TCP backend: a socket per peer (the boss
     has one per worker, a worker one to node 0).
 
-    recv reads once from a ready peer into that peer's buffer and
-    returns the complete frames in arrival order.  With one open peer
+    _take reads once from a ready peer into that peer's buffer and
+    queues the complete frames in arrival order.  With one listed peer
     it blocks in that peer's recv; with several, one selector reports
-    the ready ones.  A peer is open while its key is listed.
+    the ready ones.  A lost peer's key leaves the list as its ABORT is
+    queued, so the open peers are the listed ones plus those ABORTs.
     """
 
     def __init__(self, node_id: int | None, peers: dict[int, socket.socket]):
-        self.node_id = node_id
-        self._peers = peers
-        self._closed = False
+        super().__init__(node_id, peers)
         self._selector = selectors.DefaultSelector()
         self._open = [self._selector.register(sock, selectors.EVENT_READ, (peer, bytearray()))
                       for peer, sock in peers.items()]
         self._arrived: deque[tuple[int, Frame]] = deque()
 
-    def send(self, dest: int, frame: Frame) -> None:
-        sock = self._peers.get(dest)
-        if sock is None:
-            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
+    def _put(self, dest: int, sock: socket.socket, frame: Frame) -> None:
         try:
             sock.sendall(encode_frame(frame))
         except OSError as exc:
             raise TransportError(f"send to node {dest} failed: {exc}") from exc
 
-    def recv(self) -> tuple[int, Frame]:
-        if self._closed:
-            raise TransportError("endpoint is closed")
+    def _take(self) -> tuple[int, Frame]:
         arrived, open_keys = self._arrived, self._open
         while not arrived:
             if len(open_keys) == 1:  # block in the one peer's recv: no select call per frame
                 self._receive(open_keys[0])
-            elif not open_keys:
-                raise TransportError("all peers disconnected")
             else:
                 for key, _ in self._selector.select():
                     self._receive(key)
-        src, frame = arrived.popleft()
-        if frame.kind is _ABORT:
-            detail = f": {frame.payload.decode('utf-8', 'replace')}" if frame.payload else ""
-            raise TransportError(f"node {src} disconnected{detail}")
-        return src, frame
+        return arrived.popleft()
 
     def _receive(self, key: selectors.SelectorKey) -> None:
         """Read once from a peer and queue each complete frame; on a
@@ -300,12 +301,11 @@ class TcpEndpoint(Endpoint):
         except (TransportError, TruncationError, ProtocolError, OSError) as exc:
             self._selector.unregister(key.fileobj)
             self._open.remove(key)
-            self._arrived.append((node_id, Frame(_ABORT, 0, str(exc).encode("utf-8", "replace"))))
+            self._arrived.append((node_id, _abort_frame(str(exc))))
 
-    def close(self, reason: str | None = None) -> None:
-        self._closed = True
+    def _hang_up(self, reason: str | None) -> None:
         self._selector.close()
-        abort = encode_frame(Frame(_ABORT, 0, reason.encode("utf-8", "replace"))) if reason else b""
+        abort = encode_frame(_abort_frame(reason)) if reason else b""
         for sock in self._peers.values():
             try:
                 if abort:  # tell the peer why; MSG_DONTWAIT: a full socket cannot block the close

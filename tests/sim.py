@@ -33,7 +33,7 @@ from collections import deque
 
 from parqueue.errors import TransportError
 from parqueue.runtime import Boss, _worker_thread_main
-from parqueue.wire import _ABORT, BOSS_ID, Endpoint, Frame
+from parqueue.wire import BOSS_ID, Endpoint, Frame, _abort_frame
 
 
 BATON_WAIT_S = 60  # no test handler computes this long while holding the baton
@@ -155,38 +155,28 @@ def every_schedule(run, limit: int = 50_000) -> int:
 
 
 class SimEndpoint(Endpoint):
-    """One node's endpoint: send queues on the (src -> dst) channel,
-    recv hands the baton on and waits for a delivery."""
+    """One node's endpoint: _put queues on the (src -> dst) channel,
+    _take hands the baton on and waits for a delivery."""
 
     def __init__(self, cluster: SimCluster, node_id: int):
-        self.node_id = node_id
+        super().__init__(node_id, {})
         self._cluster = cluster
-        self._peers: dict[int, SimEndpoint] = {}
-        self._open_peers = 0
-        self._closed = False
         self._waiting = False
         self._wake = threading.Event()
         self._delivered = None  # (src, frame), or the error that ended the simulation
 
-    def send(self, dest: int, frame: Frame) -> None:
+    def _put(self, dest: int, peer: SimEndpoint, frame: Frame) -> None:
         cluster = self._cluster
         if cluster.failure is not None:
             raise cluster.failure
-        peer = self._peers.get(dest)
-        if peer is None:
-            raise TransportError(f"node {self.node_id} has no channel to node {dest}")
         if peer._closed:
             raise TransportError(f"node {dest} is closed")
         cluster.channels[self.node_id, dest].append(frame)
 
-    def recv(self) -> tuple[int, Frame]:
+    def _take(self) -> tuple[int, Frame]:
         cluster = self._cluster
-        if self._closed:
-            raise TransportError("endpoint is closed")
         if cluster.failure is not None:
             raise cluster.failure
-        if not self._open_peers:
-            raise TransportError("all peers disconnected")
         self._wake.clear()
         self._waiting = True
         if cluster.holder is self:
@@ -197,21 +187,13 @@ class SimEndpoint(Endpoint):
             raise ScheduleFailed(f"node {self.node_id} got no delivery in {BATON_WAIT_S} s")
         if isinstance(self._delivered, TransportError):
             raise self._delivered
-        src, frame = self._delivered
-        if frame.kind is _ABORT:
-            self._open_peers -= 1
-            detail = f": {frame.payload.decode('utf-8', 'replace')}" if frame.payload else ""
-            raise TransportError(f"node {src} disconnected{detail}")
-        return src, frame
+        return self._delivered
 
-    def close(self, reason: str | None = None) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    def _hang_up(self, reason: str | None) -> None:
         cluster = self._cluster
         if cluster.failure is not None:
             return
-        abort = Frame(_ABORT, 0, (reason or "").encode("utf-8", "replace"))
+        abort = _abort_frame(reason)
         for dest, peer in self._peers.items():
             if not peer._closed:
                 cluster.channels[self.node_id, dest].append(abort)
@@ -231,8 +213,7 @@ class SimCluster:
         self.channels = {}
         for worker in self.nodes[1:]:
             for a, b in ((boss, worker), (worker, boss)):
-                a._peers[b.node_id] = b
-                a._open_peers += 1
+                a._connect(b)
                 self.channels[a.node_id, b.node_id] = deque()
         self._order = sorted(self.channels)
         self.holder: SimEndpoint | None = boss  # the node that runs

@@ -198,7 +198,7 @@ def test_worker_cannot_broadcast():
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_send_to_unknown_node(transport):
-    boss, workers = (inproc_cluster(1)[0], []) if transport == "inproc" else _tcp_pair()
+    boss, workers = _pair(transport)
     try:
         with pytest.raises(TransportError) as excinfo:
             boss.send(7, Frame(MessageKind.STOP))
@@ -210,13 +210,28 @@ def test_send_to_unknown_node(transport):
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
 def test_recv_on_a_closed_endpoint_raises(transport):
-    boss, workers = (inproc_cluster(1)[0], []) if transport == "inproc" else _tcp_pair()
+    boss, workers = _pair(transport)
     boss.close()
     for worker in workers:
         worker.close()
     with pytest.raises(TransportError) as excinfo:
         boss.recv()
     assert str(excinfo.value) == "endpoint is closed"
+
+
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_closed_endpoint_refuses_to_send(transport):
+    boss, (worker,) = _pair(transport)
+    try:
+        worker.close("bye")
+        with pytest.raises(TransportError) as excinfo:
+            worker.send(BOSS_ID, Frame(MessageKind.JOB_RESULT, 1, b"late"))
+        assert str(excinfo.value) == "endpoint is closed"
+        with pytest.raises(TransportError) as excinfo:
+            boss.recv()
+        assert str(excinfo.value) == "node 1 disconnected: bye"
+    finally:
+        boss.close()
 
 
 def test_closed_peer_detected():
@@ -241,6 +256,14 @@ def _tcp_pair(workers=1, timeout=5.0):
     worker_eps = [TcpWorkerEndpoint(addr, timeout) for _ in range(workers)]
     acceptor.join()
     return boss_holder["ep"], worker_eps
+
+
+def _pair(transport, workers=1):
+    """A boss endpoint and its worker endpoints on either transport."""
+    if transport == "tcp":
+        return _tcp_pair(workers)
+    boss, *worker_eps = inproc_cluster(workers)
+    return boss, worker_eps
 
 
 def test_tcp_handshake_assigns_ids_in_connection_order():
@@ -434,21 +457,15 @@ def _recv_outcome(endpoint, timeout=2.0):
     return outcome[0]
 
 
-def test_inproc_boss_recv_after_every_peer_closed_does_not_hang():
-    boss, w1 = inproc_cluster(1)
-    w1.close("worker quit")
-    with pytest.raises(TransportError, match="node 1 disconnected: worker quit"):
-        boss.recv()
-    outcome = _recv_outcome(boss)
-    assert isinstance(outcome, TransportError)
-    assert "all peers disconnected" in str(outcome)
-
-
-def test_tcp_boss_recv_after_every_peer_closed_does_not_hang():
-    boss, (worker,) = _tcp_pair()
+@pytest.mark.parametrize("transport, reason, lost", [
+    ("inproc", "worker quit", "node 1 disconnected: worker quit"),
+    ("tcp", None, "node 1 disconnected: stream ended"),
+], ids=["inproc", "tcp"])
+def test_boss_recv_after_every_peer_closed_does_not_hang(transport, reason, lost):
+    boss, (worker,) = _pair(transport)
     try:
-        worker.close()
-        with pytest.raises(TransportError, match="node 1 disconnected: stream ended"):
+        worker.close(reason)
+        with pytest.raises(TransportError, match=lost):
             boss.recv()
         outcome = _recv_outcome(boss)
         assert isinstance(outcome, TransportError)
@@ -457,78 +474,44 @@ def test_tcp_boss_recv_after_every_peer_closed_does_not_hang():
         boss.close()
 
 
-def test_seeded_recv_keeps_per_channel_fifo_and_reports_close_reasons():
-    per_worker = 50
-    for _ in range(5):
-        boss, w1, w2 = inproc_cluster(2)
-
-        def flood(endpoint):
-            for seq in range(per_worker):
-                endpoint.send(0, Frame(MessageKind.JOB_SUBMIT, 0, codec.encode(seq)))
-            endpoint.close(f"worker {endpoint.node_id} done")
-
-        # concurrent senders make some receives block with nothing ready
-        threads = [threading.Thread(target=flood, args=(ep,)) for ep in (w1, w2)]
-        for t in threads:
-            t.start()
-        next_seq = {1: 0, 2: 0}
-        reasons = []
-        while len(reasons) < 2:
-            try:
-                src, frame = boss.recv()
-            except TransportError as exc:
-                reasons.append(str(exc))
-                continue
-            assert codec.decode(frame.payload) == next_seq[src]
-            next_seq[src] += 1
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert next_seq == {1: per_worker, 2: per_worker}
-        assert sorted(reasons) == [
-            "node 1 disconnected: worker 1 done",
-            "node 2 disconnected: worker 2 done",
-        ]
-        with pytest.raises(TransportError, match="all peers disconnected"):
-            boss.recv()
-
-
-def test_tcp_boss_keeps_per_peer_fifo_and_reports_close_reasons():
-    per_worker = 200
-    boss, workers = _tcp_pair(workers=2)
-
+@pytest.mark.parametrize("transport, rounds, per_worker", [("inproc", 5, 50), ("tcp", 1, 200)],
+                         ids=["inproc", "tcp"])
+def test_boss_keeps_per_peer_fifo_and_reports_close_reasons(transport, rounds, per_worker):
     def flood(endpoint):
         for seq in range(per_worker):
             endpoint.send(0, Frame(MessageKind.JOB_SUBMIT, 0, codec.encode(seq)))
         endpoint.close(f"worker {endpoint.node_id} done")
 
-    threads = [threading.Thread(target=flood, args=(ep,)) for ep in workers]
-    for t in threads:
-        t.start()
-    try:
-        next_seq = {1: 0, 2: 0}
-        reasons = []
-        while len(reasons) < 2:
-            outcome = _recv_outcome(boss, timeout=10)
-            if isinstance(outcome, TransportError):
-                reasons.append(str(outcome))
-                continue
-            src, frame = outcome
-            assert codec.decode(frame.payload) == next_seq[src]
-            next_seq[src] += 1
-        assert next_seq == {1: per_worker, 2: per_worker}
-        assert sorted(reasons) == [
-            "node 1 disconnected: worker 1 done",
-            "node 2 disconnected: worker 2 done",
-        ]
-        outcome = _recv_outcome(boss)
-        assert isinstance(outcome, TransportError)
-        assert "all peers disconnected" in str(outcome)
+    for _ in range(rounds):
+        boss, workers = _pair(transport, workers=2)
+        # concurrent senders make some receives block with nothing ready
+        threads = [threading.Thread(target=flood, args=(ep,)) for ep in workers]
         for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-    finally:
-        boss.close()
+            t.start()
+        try:
+            next_seq = {1: 0, 2: 0}
+            reasons = []
+            while len(reasons) < 2:
+                outcome = _recv_outcome(boss, timeout=10)
+                if isinstance(outcome, TransportError):
+                    reasons.append(str(outcome))
+                    continue
+                src, frame = outcome
+                assert codec.decode(frame.payload) == next_seq[src]
+                next_seq[src] += 1
+            assert next_seq == {1: per_worker, 2: per_worker}
+            assert sorted(reasons) == [
+                "node 1 disconnected: worker 1 done",
+                "node 2 disconnected: worker 2 done",
+            ]
+            outcome = _recv_outcome(boss)
+            assert isinstance(outcome, TransportError)
+            assert "all peers disconnected" in str(outcome)
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+        finally:
+            boss.close()
 
 
 @pytest.mark.parametrize("reader", ["boss", "worker"])
@@ -676,12 +659,19 @@ def test_tcp_send_to_a_closed_peer_names_the_node():
         boss.close()
 
 
-def test_a_second_inproc_close_sends_no_second_abort():
-    boss, worker = inproc_cluster(1)
-    worker.close("done")
-    worker.close("again")
-    assert boss._inbox.qsize() == 1
-    boss.close()
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_a_second_close_sends_no_second_abort(transport):
+    boss, (worker,) = _pair(transport)
+    try:
+        worker.close("done")
+        worker.close("again")
+        if transport == "inproc":
+            assert boss._inbox.qsize() == 1
+        else:  # the boss's socket reads one ABORT, then end-of-stream
+            boss._peers[1].settimeout(5)
+            assert _read_to_end(boss._peers[1]) == encode_frame(Frame(MessageKind.ABORT, 0, b"done"))
+    finally:
+        boss.close()
 
 
 def test_a_failed_handshake_send_is_a_startup_error_and_closes_every_socket(monkeypatch):
