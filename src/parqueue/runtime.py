@@ -336,12 +336,16 @@ class Boss:
                 )
         return True
 
-    def _serve_delivered(self, first: bool = False) -> None:
+    def _serve_delivered(self, kind: MessageKind | None = None, first: bool = False) -> None:
         """The one driver of every run.  run_jobs calls it with first set; with
         no ready (any endpoint but inproc's) that call serves the whole run in
         a blocking recv.  In process it is also the boss endpoint's on_delivery:
         unless another thread serves, serve until no frame waits, then look
-        again, since a frame delivered meanwhile found the lock taken."""
+        again, since a frame delivered meanwhile found the lock taken.  A
+        SUBMIT while no worker is idle waits: every worker owes a RESULT or
+        an ABORT, whose serve drains the inbox in order before any assign."""
+        if kind is _SUBMIT and not self._idle:
+            return
         lock, ready = self._lock, self._ready
         while (first or self._supervising and ready()) and lock.acquire(first):
             first = False

@@ -140,9 +140,13 @@ class Endpoint:
     to an unlisted node, "node N has no channel to node M"; a lost peer
     reads once as "node N disconnected[: reason]" and is closed from then
     on; recv with no open peer left reads "all peers disconnected" rather
-    than blocks.  A backend only moves frames: _put(dest, peer, frame)
-    to one peer, _take() blocks for the next (src, frame), an ABORT for
-    a lost peer, and _hang_up(reason) tells the peers on the first close.
+    than blocks; a send to a lost peer reads "send to node N failed: why".
+    A backend only moves frames: _put(dest, peer, frame) to one peer,
+    raising OSError if the peer is gone (inproc names the closed peer,
+    TCP gives the OS error, and over loopback the first send after the
+    peer's close can still succeed); _take() blocks for the next (src,
+    frame), an ABORT for a lost peer; _hang_up(reason) tells the peers
+    on the first close.
     """
 
     # in process, how many frames wait for recv; None where only a blocking recv can tell
@@ -160,7 +164,10 @@ class Endpoint:
         peer = self._peers.get(dest)
         if peer is None:
             raise TransportError(f"node {self.node_id} has no channel to node {dest}")
-        self._put(dest, peer, frame)
+        try:
+            self._put(dest, peer, frame)
+        except OSError as exc:
+            raise TransportError(f"send to node {dest} failed: {exc}") from exc
 
     def recv(self) -> tuple[int, Frame]:
         if self._closed:
@@ -196,22 +203,22 @@ class InprocEndpoint(Endpoint):
 
     def __init__(self, node_id: int):
         super().__init__(node_id, {})
-        self.on_delivery: Callable[[], None] = lambda: None  # a sender calls it after each delivery
+        self.on_delivery: Callable[[MessageKind], None] = lambda kind: None  # a sender calls it per delivery
         self._inbox: SimpleQueue = SimpleQueue()
         self._take, self.ready = self._inbox.get, self._inbox.qsize
 
     def _put(self, dest: int, peer: InprocEndpoint, frame: Frame) -> None:
         if peer._closed:
-            raise TransportError(f"node {dest} is closed")
+            raise ConnectionError(f"node {dest} is closed")
         peer._inbox.put((self.node_id, frame))
-        peer.on_delivery()
+        peer.on_delivery(frame.kind)
 
     def _hang_up(self, reason: str | None) -> None:
-        self.on_delivery = lambda: None  # let go of the boss: nothing is delivered here now
+        self.on_delivery = lambda kind: None  # let go of the boss: nothing is delivered here now
         abort = (self.node_id, _abort_frame(reason))
         for peer in self._peers.values():
             peer._inbox.put(abort)
-            peer.on_delivery()
+            peer.on_delivery(_ABORT)
 
 
 # the second parameter is unused: perfbench/tracer.py still passes its recv_rng
@@ -262,10 +269,7 @@ class TcpEndpoint(Endpoint):
         self._arrived: deque[tuple[int, Frame]] = deque()
 
     def _put(self, dest: int, sock: socket.socket, frame: Frame) -> None:
-        try:
-            sock.sendall(encode_frame(frame))
-        except OSError as exc:
-            raise TransportError(f"send to node {dest} failed: {exc}") from exc
+        sock.sendall(encode_frame(frame))
 
     def _take(self) -> tuple[int, Frame]:
         arrived, open_keys = self._arrived, self._open

@@ -170,7 +170,7 @@ class SimEndpoint(Endpoint):
         if cluster.failure is not None:
             raise cluster.failure
         if peer._closed:
-            raise TransportError(f"node {dest} is closed")
+            raise ConnectionError(f"node {dest} is closed")
         cluster.channels[self.node_id, dest].append(frame)
 
     def _take(self) -> tuple[int, Frame]:

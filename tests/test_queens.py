@@ -43,10 +43,12 @@ def test_fits_examples():
 
 
 def test_payload_roundtrip():
-    size, overflow, row = parse_place_payload(place_payload([0, 3, 1], 5, 8))
-    assert (size, overflow, row) == (5, 8, [0, 3, 1])
-    size, overflow, row = parse_place_payload(place_payload([], 9, 2))
-    assert (size, overflow, row) == (9, 2, [])
+    entry = ((0, 3, 1), 0b01011, 0b00100, 0b11000)
+    assert parse_place_payload(place_payload(entry, 5, 8)) == (5, 8, entry)
+    assert parse_place_payload(place_payload(((), 0, 0, 0), 9, 2)) == (9, 2, ((), 0, 0, 0))
+    full = 2**64 - 1  # the widest masks a 64-board can hold
+    assert parse_place_payload(place_payload(((63,), full, full, full), 64, 4)) == (
+        64, 4, ((63,), full, full, full))
 
 
 def test_tiny_boards():
@@ -107,7 +109,7 @@ def test_local_stack_never_exceeds_overflow_at_loop_top():
         previous = sys.gettrace()
         sys.settrace(trace)
         try:
-            count_from([], 7, overflow, lambda row: None)
+            count_from([], 7, overflow, lambda entry: None)
         finally:
             sys.settrace(previous)
         assert observed and max(observed) < overflow
@@ -116,19 +118,49 @@ def test_local_stack_never_exceeds_overflow_at_loop_top():
 def test_spill_sheds_oldest_entries_first():
     # size 4, overflow 2, empty seed: the seed pops to four partials
     # (0),(1),(2),(3); spilling drains the oldest three, then (3) expands
-    # to (3,0),(3,1) and (3,0) spills before (3,1) is processed
+    # to (3,0),(3,1) and (3,0) spills before (3,1) is processed; each
+    # entry carries the rows attacked in the next column
     spills = []
     found = count_from([], 4, 2, spills.append)
-    assert spills == [(0,), (1,), (2,), (3, 0)]
+    assert spills == [((0,), 0b0001, 0b0000, 0b0010),
+                      ((1,), 0b0010, 0b0001, 0b0100),
+                      ((2,), 0b0100, 0b0010, 0b1000),
+                      ((3, 0), 0b1001, 0b0010, 0b0010)]
     assert found == 0  # both solutions live under the spilled subtrees
 
 
 def test_spilled_placements_are_valid_partials():
     spills = []
     count_from([], 6, 3, spills.append)
-    for row in spills:
+    assert spills
+    for row, *_ in spills:
         for length in range(1, len(row) + 1):
             assert fits(list(row[:length]))
+
+
+def rebuilt_masks(row, size):
+    """The occupancy masks of row's next column, from each queen's attacks."""
+    k, cols, ld, rd = len(row), 0, 0, 0
+    for j, r in enumerate(row):
+        cols |= 1 << r
+        if r - (k - j) >= 0:
+            ld |= 1 << (r - (k - j))
+        if r + (k - j) < size:
+            rd |= 1 << (r + (k - j))
+    return cols, ld, rd
+
+
+def test_spilled_masks_match_the_masks_rebuilt_from_the_row():
+    for size in range(4, 10):
+        for overflow in (2, 3, 4):
+            spills = []
+            count_from([], size, overflow, spills.append)
+            assert spills, (size, overflow)
+            for row, *masks in spills:
+                assert tuple(masks) == rebuilt_masks(row, size), (size, overflow, row)
+                # a job seeded with the carried masks counts what one seeded with its row does
+                assert count_from(row, size, overflow, lambda entry: None, masks) == count_from(
+                    row, size, overflow, lambda entry: None)
 
 
 def test_count_from_covers_entire_tree_when_nothing_spills():
@@ -142,6 +174,16 @@ def test_run_validates_arguments():
             app.run(boss, 0, 4)
         with pytest.raises(ValueError):
             app.run(boss, 5, 1)
+
+
+def test_a_board_above_64_is_refused_before_any_job_is_sent():
+    app = Queens()
+    with start(InprocConfig(1), app.registry()) as boss:
+        recorder = record_boss(boss)
+        with pytest.raises(ValueError, match="from 1 to 64"):
+            app.run(boss, 65, 4)
+        assert not recorder.kind_counts()
+        assert app.run(boss, 6, 4) == 4  # the cluster still runs
 
 
 @pytest.mark.long

@@ -747,6 +747,29 @@ def test_a_worker_failure_while_another_worker_serves_aborts_the_run():
     assert str(excinfo.value) == "node 2 disconnected: worker handler for job type 2 raised ValueError: boom"
 
 
+@pytest.mark.parametrize("transport", ["inproc", "tcp"])
+def test_an_idle_worker_starts_a_submitted_job_before_its_submitter_returns(transport):
+    # job 1 waits for job 2, which it submits itself: the run returns
+    # "waited" only if the boss assigns a SUBMIT while a worker is idle
+    # at once rather than when the submitter's RESULT arrives
+    second_ran = threading.Event()
+
+    def first(job, ctx):
+        ctx.submit(Job(2))
+        return b"waited" if second_ran.wait(timeout=10) else b"timed out"
+
+    registry = HandlerRegistry(worker={1: first, 2: lambda job, ctx: second_ran.set()})
+    if transport == "inproc":
+        boss, threads = start(InprocConfig(2), registry), []
+    else:
+        boss, threads = _start_tcp_with_worker_threads(2, registry)
+    with boss:
+        assert [job.data for job in boss.run_jobs([Job(1)])] == [b"waited"]
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+
 def test_a_frame_delivered_while_the_server_lets_go_is_served():
     # the caller serves the first assignment; right after it finds the inbox
     # empty, and before it lets go of the lock, the worker delivers a task
@@ -767,8 +790,8 @@ def test_a_frame_delivered_while_the_server_lets_go_is_served():
                 assert delivered.wait(timeout=10)  # the worker found the lock taken
             return waiting
 
-        def on_delivery():
-            serve()
+        def on_delivery(kind):
+            serve(kind)
             if threading.current_thread() is worker:
                 delivered.set()
 

@@ -91,11 +91,11 @@ def test_c4_graph_under_every_schedule():
 def test_queens_4_under_every_schedule():
     # the job set does not depend on the schedule: each job's spills are
     # fixed by its own placement, so expand them serially
-    jobs, pending = [], [()]
+    jobs, pending = [], [((), 0, 0, 0)]
     while pending:
-        row = pending.pop()
-        jobs.append(place_payload(row, 4, 3))
-        count_from(list(row), 4, 3, pending.append)
+        row, *masks = entry = pending.pop()
+        jobs.append(place_payload(entry, 4, 3))
+        count_from(row, 4, 3, pending.append, masks)
 
     def run(schedule):
         app, log = Queens(), []

@@ -8,6 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+import sim
 from support import random_value
 
 from parqueue import codec
@@ -18,6 +19,7 @@ from parqueue.errors import (
     TransportError,
     TruncationError,
 )
+from parqueue.runtime import HandlerRegistry
 from parqueue.wire import (
     BOSS_ID,
     HEADER,
@@ -657,6 +659,30 @@ def test_tcp_send_to_a_closed_peer_names_the_node():
         assert str(excinfo.value) == "send to node 1 failed: [Errno 32] Broken pipe"
     finally:
         boss.close()
+
+
+@pytest.mark.parametrize("backend", ["inproc", "sim"])
+def test_a_send_to_a_closed_peer_reads_as_on_tcp(backend):
+    # the same "send to node N failed: ..." as TCP, with the closed peer named
+    if backend == "inproc":
+        boss, worker = inproc_cluster(1)
+        worker.close()
+        threads = []
+    else:  # the simulated worker closes once the boss's STOP reaches it
+        cluster = sim.SimCluster(1, HandlerRegistry(), sim.Random(0))
+        boss, threads = cluster.nodes[BOSS_ID], cluster.boss._threads
+        boss.send(1, Frame(MessageKind.STOP))
+    try:
+        with pytest.raises(TransportError, match="^node 1 disconnected$"):
+            boss.recv()
+        with pytest.raises(TransportError) as excinfo:
+            boss.send(1, Frame(MessageKind.STOP))
+        assert str(excinfo.value) == "send to node 1 failed: node 1 is closed"
+    finally:
+        boss.close()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.mark.parametrize("transport", ["inproc", "tcp"])
