@@ -27,7 +27,6 @@ from .metrics import (
     ScalingReport,
     bench_overhead,
     emit_load_csv,
-    scaling_report,
 )
 from .runtime import (
     Boss,
@@ -78,6 +77,5 @@ __all__ = [
     "emit_load_csv",
     "encode",
     "pick_free_port",
-    "scaling_report",
     "start",
 ]

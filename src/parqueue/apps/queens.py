@@ -23,19 +23,6 @@ from ..runtime import Boss, HandlerRegistry, InprocConfig, Job, WorkerContext, s
 PLACE = 1
 
 
-def fits(row: list[int]) -> bool:
-    """True iff the last queen attacks none of the earlier ones
-    (same row or same diagonal)."""
-    k = len(row) - 1
-    if k < 1:
-        return True
-    last = row[k]
-    for j in range(k):
-        if row[j] == last or abs(row[j] - last) == k - j:
-            return False
-    return True
-
-
 def place_payload(entry, size: int, overflow: int) -> bytes:
     # flat scalar sequence [size, overflow, cols, ld, rd, row...]: the hot
     # payload of the app, kept in the codec's bulk-packed (uint64) form

@@ -5,9 +5,9 @@ it reads.  The apps (factor, matsquare, queens) run the boss: on
 --workers inproc threads, or, with --listen HOST:PORT, serving that
 many TCP workers.  `worker APP --connect HOST:PORT` runs one TCP worker
 for the app's boss started elsewhere.  bench-overhead always runs on
-inproc threads; scaling starts one cluster per worker count, of local
-TCP worker processes unless --transport inproc.  Exit codes: 0
-success, 2 usage error, 1 runtime failure.
+inproc threads; scaling starts one cluster of local TCP worker
+processes per worker count.  Exit codes: 0 success, 2 usage error, 1
+runtime failure.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .apps.matsquare import MatrixSquare
 from .apps.queens import Queens
 from .errors import ParqueueError
 from .metrics import (
+    ScalingReport,
     bench_overhead,
     emit_load_csv,
     format_overhead_table,
     format_scaling_table,
     measure_queens_run,
-    scaling_report,
 )
 from .runtime import HandlerRegistry, InprocConfig, TcpBossConfig, TcpWorkerConfig, start
 
@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sleep-ms", type=float, default=10.0)
 
     p = sub.add_parser("scaling", help="queens speedup/efficiency report")
-    p.add_argument("--transport", choices=("inproc", "tcp"), default="tcp")
     p.add_argument("--load-csv", metavar="PATH", help="write the largest run's load samples as CSV")
     p.add_argument("--size", type=_at_least(1), default=12)
     p.add_argument("--overflow", type=_at_least(2), default=20)
@@ -166,13 +165,9 @@ def _cmd_bench_overhead(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(cfg: argparse.Namespace) -> int:
-    runs = {}
-
-    def workload(workers: int) -> float:
-        runs[workers] = measure_queens_run(cfg.size, cfg.overflow, workers, cfg.transport)
-        return runs[workers].runtime_t
-
-    print(format_scaling_table(scaling_report(workload, cfg.worker_counts)))
+    runs = {w: measure_queens_run(cfg.size, cfg.overflow, w) for w in cfg.worker_counts}
+    baseline_t = runs[1].runtime_t
+    print(format_scaling_table(ScalingReport(w, runs[w].runtime_t, baseline_t) for w in cfg.worker_counts))
     if cfg.load_csv:
         emit_load_csv(runs[max(runs)].samples, cfg.load_csv)
     return 0

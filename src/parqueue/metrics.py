@@ -3,8 +3,8 @@
 The boss records a load sample after every supervision state change;
 the resulting timeline can be written as CSV and replayed to audit the
 scheduler.  The benchmark helpers quantify per-job queue overhead with
-sleep jobs and derive speedup/efficiency figures for a deterministic
-workload run at several worker counts.
+sleep jobs, and time queens runs on local worker processes for the
+speedup/efficiency rows of a run at several worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import codec
 from .wire import pick_free_port
@@ -175,21 +175,6 @@ class ScalingReport:
         return self.speedup / self.p
 
 
-def scaling_report(workload: Callable[[int], float], worker_counts: Iterable[int]) -> list[ScalingReport]:
-    """Run *workload* (worker count -> measured runtime seconds) at each
-    count and derive speedup/efficiency against the 1-worker run."""
-    counts = list(worker_counts)
-    if 1 not in counts:
-        raise ValueError("worker_counts must include 1, the speedup baseline")
-    times = {}
-    for count in counts:
-        if count < 1:
-            raise ValueError("worker counts must be at least 1")
-        times[count] = workload(count)
-    baseline = times[1]
-    return [ScalingReport(count, times[count], baseline) for count in counts]
-
-
 def format_overhead_table(reports: Iterable[OverheadReport]) -> str:
     header = f"{'Jobs n':>8}  {'Doubles':>8}  {'Workers':>8}  {'Runtime (s)':>12}  {'Ideal (s)':>10}  {'Overhead (s)':>13}  {'Per-job (s)':>12}"
     lines = [header, "-" * len(header)]
@@ -215,12 +200,20 @@ def format_scaling_table(reports: Iterable[ScalingReport]) -> str:
 def spawn_local_workers(app: str, connect: str, count: int) -> list[subprocess.Popen]:
     """Start *count* `parqueue worker` processes for the named
     application, each connecting to *connect* and importing this copy of
-    the package.  Returns the process handles."""
+    the package.  Returns the process handles; if one cannot start, the
+    ones already started are killed before the error propagates."""
     package_root = str(Path(__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
     command = [sys.executable, "-m", "parqueue.cli", "worker", app, "--connect", connect]
-    return [subprocess.Popen(command, env=env, stdin=subprocess.DEVNULL) for _ in range(count)]
+    procs = []
+    try:
+        for _ in range(count):
+            procs.append(subprocess.Popen(command, env=env, stdin=subprocess.DEVNULL))
+    except BaseException:
+        _reap(procs, timeout=0)
+        raise
+    return procs
 
 
 def _reap(procs: list[subprocess.Popen], timeout: float) -> None:
@@ -243,32 +236,21 @@ class QueensRunMeasurement:
     samples: LoadLog
 
 
-def measure_queens_run(size: int, overflow: int, workers: int,
-                       transport: str = "tcp") -> QueensRunMeasurement:
-    """Time one queens run at the given worker count.
-
-    transport "tcp" spawns local worker processes (real CPU parallelism);
-    "inproc" uses threads, which serialize Python compute but exercise
-    the same protocol.  The measured span covers supervision only, not
-    cluster startup.  No worker process outlives the call.
-    """
+def measure_queens_run(size: int, overflow: int, workers: int) -> QueensRunMeasurement:
+    """Time one queens run on *workers* local `parqueue worker queens`
+    processes.  The measured span covers supervision only, not cluster
+    startup.  No worker process outlives the call."""
     from .apps.queens import Queens
-    from .runtime import InprocConfig, TcpBossConfig, start
+    from .runtime import TcpBossConfig, start
 
     app = Queens()
-    procs = []
-    if transport == "inproc":
-        boss = start(InprocConfig(workers), app.registry())
-    elif transport == "tcp":
-        addr = f"127.0.0.1:{pick_free_port()}"
-        procs = spawn_local_workers("queens", addr, workers)
-        try:
-            boss = start(TcpBossConfig(addr, workers), app.registry())
-        except BaseException:
-            _reap(procs, timeout=0)
-            raise
-    else:
-        raise ValueError(f"unknown transport {transport!r}")
+    addr = f"127.0.0.1:{pick_free_port()}"
+    procs = spawn_local_workers("queens", addr, workers)
+    try:
+        boss = start(TcpBossConfig(addr, workers), app.registry())
+    except BaseException:
+        _reap(procs, timeout=0)
+        raise
     try:
         t0 = time.perf_counter()
         solutions = app.run(boss, size, overflow)

@@ -1,9 +1,9 @@
 """Independent reference implementations used to freeze expected values.
 
-These deliberately avoid the production code paths: the queens oracle
-is a plain serial backtracking loop with its own conflict check, the
-factorization oracle is ascending trial division, and the matrix oracles
-are the direct triple loop and the plain k-order row loop.
+These deliberately avoid the production code paths: the queens oracles
+are a plain serial backtracking loop and a conflict check on a row
+vector, the factorization oracle is ascending trial division, and the
+matrix oracles are the direct triple loop and the plain k-order row loop.
 """
 
 from functools import lru_cache
@@ -30,6 +30,19 @@ def serial_queens_count(size: int) -> int:
                 else:
                     queue.append(row + [i])
     return solutions
+
+
+def fits(row: list[int]) -> bool:
+    """True iff the last queen attacks none of the earlier ones
+    (same row or same diagonal)."""
+    k = len(row) - 1
+    if k < 1:
+        return True
+    last = row[k]
+    for j in range(k):
+        if row[j] == last or abs(row[j] - last) == k - j:
+            return False
+    return True
 
 
 def trial_division_factors(n: int) -> list[int]:

@@ -139,7 +139,7 @@ _queens_measurements: dict = {}
 def queens_scaling_measurements():
     if not _queens_measurements:
         for workers in MEASURED_COUNTS:
-            _queens_measurements[workers] = measure_queens_run(12, 20, workers, transport="tcp")
+            _queens_measurements[workers] = measure_queens_run(12, 20, workers)
     return _queens_measurements
 
 

@@ -37,6 +37,7 @@ def test_usage_errors_exit_two(capsys):
         ["scaling", "--worker-counts", "nope"],
         ["scaling", "--worker-counts", "1,0"],
         ["scaling", "--workers", "3"],
+        ["scaling", "--transport", "inproc"],
         ["bench-overhead", "--transport", "tcp"],
         ["bench-overhead", "--load-csv", "x.csv"],
         ["queens", "--size", "5", "--listen", "127.0.0.1:1", "--workers", "-1"],
@@ -122,10 +123,9 @@ def test_bench_overhead_prints_table(capsys):
     assert "Jobs n" in out and "Per-job" in out
 
 
-def test_scaling_inproc_prints_table(capsys):
+def test_scaling_prints_table(capsys):
     code, out, _ = run_cli(
-        capsys, "scaling", "--size", "5", "--overflow", "4",
-        "--worker-counts", "1,2", "--transport", "inproc",
+        capsys, "scaling", "--size", "5", "--overflow", "4", "--worker-counts", "1,2",
     )
     assert code == 0
     assert "Nodes p" in out and "Speedup" in out
@@ -136,7 +136,7 @@ def test_scaling_load_csv_is_from_the_largest_run(tmp_path, capsys):
     path = tmp_path / "load.csv"
     code, _, _ = run_cli(
         capsys, "scaling", "--size", "6", "--overflow", "4", "--worker-counts", "1,2",
-        "--transport", "inproc", "--load-csv", str(path),
+        "--load-csv", str(path),
     )
     assert code == 0
     with open(path) as handle:

@@ -4,13 +4,12 @@ import sys
 
 import pytest
 import sim
-from oracles import serial_queens_count
+from oracles import fits, serial_queens_count
 from support import record_boss
 
 from parqueue.apps.queens import (
     Queens,
     count_from,
-    fits,
     parse_place_payload,
     place_payload,
     queens_count,

@@ -1,5 +1,6 @@
 """End-to-end runs over the TCP backend on localhost."""
 
+import errno
 import os
 import selectors
 import socket
@@ -83,7 +84,7 @@ def test_spawned_workers_import_this_copy_without_pythonpath(tmp_path):
     src = str(Path(parqueue.__file__).resolve().parents[1])
     script = (f"import sys; sys.path.insert(0, {src!r})\n"
               "from parqueue.metrics import measure_queens_run\n"
-              "print(measure_queens_run(6, 4, 1, 'tcp').solutions)\n")
+              "print(measure_queens_run(6, 4, 1).solutions)\n")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=60)
@@ -101,9 +102,31 @@ def test_measure_queens_run_kills_its_workers_when_the_boss_cannot_start(monkeyp
         monkeypatch.setattr(metrics, "pick_free_port", lambda: taken.getsockname()[1])
         monkeypatch.setattr(metrics, "spawn_local_workers", spawn)
         with pytest.raises(StartupError):
-            measure_queens_run(6, 4, 2, "tcp")
+            measure_queens_run(6, 4, 2)
     assert len(spawned) == 2
     assert all(proc.poll() is not None for proc in spawned)
+
+
+def test_spawn_local_workers_kills_the_started_ones_when_one_cannot_start(monkeypatch):
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        if started:
+            raise OSError(errno.EAGAIN, "no more processes")
+        started.append(real_popen(*args, **kwargs))
+        return started[0]
+
+    monkeypatch.setattr(metrics.subprocess, "Popen", popen)
+    try:
+        with pytest.raises(OSError):
+            spawn_local_workers("queens", f"127.0.0.1:{pick_free_port()}", 3)
+        assert len(started) == 1
+        assert started[0].poll() is not None  # not left retrying its connect
+    finally:
+        for proc in started:
+            proc.kill()
+            proc.wait()
 
 
 def test_registry_for_names_an_unknown_application():
